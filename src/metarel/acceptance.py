@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from ._rng import derive_rng
 from .mdcore import reduce_order
 from .specfun import (
     LS_POLY,
-    MarcumPolyCoeffs,
-    bessel_i0,
     calibrate_marcum_coeffs,
     eval_mu_nu,
     lambert_w0,

@@ -11,16 +11,15 @@ on, nested Monte Carlo bindings, and the required-bandwidth search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from ._rng import derive_rng
 from .errors import ConfigurationError, DomainError, SearchError
-from .mdcore import LayeredModel, MdEstimate, MdQuery, nested_md_estimate
-from .stochgeom import PppConfig, Realization, sample_marks, sample_ordered_distances
+from .mdcore import LayeredModel, MdEstimate, MdQuery, nested_md_estimate, nested_md_grid
+from .stochgeom import PppConfig, Realization, sample_ordered_distances
 
 __all__ = [
     "CanonicalParams",
@@ -45,9 +44,6 @@ __all__ = [
 
 MODES = ("single_interferer", "multi_interferer")
 INNER_MODES = ("sampled", "exact_binomial")
-# stochgeom.sample_marks spelling of each mode: in multi mode every
-# non-serving point carries its own Bernoulli(zeta) mark
-_MARK_MODE = {"single_interferer": "single_interferer", "multi_interferer": "all"}
 
 
 @dataclass(frozen=True)
@@ -160,13 +156,34 @@ def conditional_link_success(
 
 
 def _success_terms(p2: float, zeta: float) -> int:
-    """Number of leading N' pmf terms inside the success region, i.e.
-    floor(ln p2 / ln(1 - zeta)) + 1, with the zeta = 1 limit taken as 1."""
+    """Number of leading N' pmf terms inside the success region: the count
+    of n >= 0 with (1 - zeta)^n > p2, i.e. ceil(ln p2 / ln(1 - zeta)).
+
+    The comparison is strict, so an atom (1 - zeta)^n == p2 is excluded; a
+    ratio within a few ulp of an integer n is taken to be that atom, since
+    rounding in the logarithms cannot tell the two apart.  zeta = 1 gives 1.
+    """
     if not 0.0 < p2 < 1.0:
         raise DomainError("p2 must lie strictly in (0, 1)")
     if zeta == 1.0:
         return 1
-    return int(math.floor(math.log(p2) / math.log1p(-zeta))) + 1
+    ratio = math.log(p2) / math.log1p(-zeta)
+    nearest = round(ratio)
+    if abs(ratio - nearest) <= 4.0 * math.ulp(ratio):
+        return nearest
+    return math.ceil(ratio)
+
+
+def _r2_from_p1_hat(phat: float, p2: float, zeta: float) -> float:
+    """1 - (1 - phat^-2)^terms for phat > 1, else 1; a single term returns
+    phat^-2 itself, without the rounding of the expm1/log1p route."""
+    terms = _success_terms(p2, zeta)
+    if phat <= 1.0:
+        return 1.0
+    x = 1.0 / (phat * phat)
+    if terms == 1:
+        return x
+    return -math.expm1(terms * math.log1p(-x))
 
 
 def r2_single_interferer(
@@ -174,15 +191,12 @@ def r2_single_interferer(
 ) -> float:
     """Second-order MD reliability, single-interferer closed form.
 
-    1 - (1 - phat^-2)^(floor(ln p2 / ln(1-zeta)) + 1) for phat > 1, else 1.
+    1 - (1 - phat^-2)^terms for phat > 1, else 1, where terms counts the
+    n >= 0 with (1 - zeta)^n > p2 (see :func:`_success_terms`).
     """
     if not 0.0 < zeta <= 1.0:
         raise DomainError("zeta must lie in (0, 1]")
-    phat = p1_hat(p1, q, alpha)
-    terms = _success_terms(p2, zeta)
-    if phat <= 1.0:
-        return 1.0
-    return -math.expm1(terms * math.log1p(-1.0 / (phat * phat)))
+    return _r2_from_p1_hat(p1_hat(p1, q, alpha), p2, zeta)
 
 
 def interference_ratio_expectation(alpha: float, zeta: float) -> float:
@@ -214,11 +228,9 @@ def r2_multi_interferer(
     """
     if not 0.0 < zeta <= 1.0:
         raise DomainError("zeta must lie in (0, 1]")
+    # the factor is looked up at call time: validate --perturb-theorem2 swaps it
     phat_eff = p1_hat(p1, q, alpha) * _multi_p1hat_factor(alpha, zeta)
-    terms = _success_terms(p2, zeta)
-    if phat_eff <= 1.0:
-        return 1.0
-    return -math.expm1(terms * math.log1p(-1.0 / (phat_eff * phat_eff)))
+    return _r2_from_p1_hat(phat_eff, p2, zeta)
 
 
 def nprime_pmf(n: int, p1_hat_value: float) -> float:
@@ -308,24 +320,28 @@ def _single_interferer_p1(
 
 
 def _sample_first_offsets(
-    n1: int, zeta: float, rng: np.random.Generator
+    size: tuple[int, ...], zeta: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Geometric index of the first marked non-serving point (1 = nearest)."""
     if zeta == 1.0:
-        return np.ones(n1, dtype=np.int64)
-    u = rng.random(n1)
+        return np.ones(size, dtype=np.int64)
+    u = rng.random(size)
     return 1 + np.floor(np.log(u) / math.log1p(-zeta)).astype(np.int64)
 
 
 def canonical_layered_model(
     params: CanonicalParams, q: float, inner: str = "sampled"
 ) -> LayeredModel:
-    """LayeredModel binding the PPP, mark, and fading samplers to the SIR QoS.
+    """LayeredModel of the canonical SIR model: point distances (outer),
+    interferer marks (middle) and Rayleigh fading (inner).
 
-    ``inner="sampled"`` draws fadings and evaluates the SIR per trial
-    (vectorized over the inner batch).  ``inner="exact_binomial"`` replaces
-    the two innermost loops by sampling Binomial(N0, P1)/N0 with the exact
-    conditional success probability; the estimator's law is unchanged.
+    A mark state is the offset of the first marked point in single mode and
+    the mask of marked non-serving points in multi mode.  A fading state is
+    the (signal power, interference power) pair that fixes the SIR; only
+    the serving fading and the marked interferers' fadings are drawn.
+    ``inner="exact_binomial"`` adds the exact hook, which samples
+    Binomial(N0, P1)/N0 with the exact conditional success probability P1;
+    the estimator's law is unchanged.
     """
     if inner not in INNER_MODES:
         raise DomainError(f"inner must be one of {INNER_MODES}")
@@ -334,51 +350,48 @@ def canonical_layered_model(
     zeta = params.zeta
     single = params.mode == "single_interferer"
 
-    def sample_distances(rng, above):
-        return sample_ordered_distances(cfg, rng)
+    def sample_distances(rng, above, size):
+        # the outermost layer: the engine asks for size (1, 1)
+        return sample_ordered_distances(cfg, rng).reshape(size + (params.n_points,))
 
-    def sample_mark_row(rng, above):
-        return sample_marks(params.n_points, zeta, _MARK_MODE[params.mode], rng)
+    def sample_mark_rows(rng, above, size):
+        if single:
+            return _sample_first_offsets(size, zeta, rng)
+        return rng.random(size + (params.n_points - 1,)) < zeta
 
-    def sample_fadings(rng, above):
-        return rng.standard_exponential(params.n_points)
+    def sample_powers(rng, above, size):
+        distances, marks = above
+        if single:
+            rows = np.flatnonzero(marks < params.n_points)
+            cols = marks[rows]
+        else:
+            rows, cols = np.nonzero(marks)
+            cols = cols + 1
+        m, n0 = size
+        h = rng.standard_exponential((n0, m + rows.size))
+        signal = h[:, :m] * distances[:, 0] ** (-alpha)
+        interference = np.zeros((n0, m))
+        if rows.size:
+            starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            weighted = h[:, m:] * distances[rows, cols] ** (-alpha)
+            interference[:, rows[starts]] = np.add.reduceat(weighted, starts, axis=1)
+        return np.stack((signal.T, interference.T), axis=-1)
 
     def qos(states):
-        distances, marks, fadings = states
-        return sir(Realization(distances=distances, marks=marks), fadings, alpha)
+        signal, interference = states[-1][..., 0], states[-1][..., 1]
+        sirs = np.full_like(signal, np.inf)  # no active interferer
+        return np.divide(signal, interference, out=sirs, where=interference > 0.0)
 
-    def inner_batch(rng, above, size):
-        distances, marks = above
-        active = np.asarray(marks).astype(bool)
-        signal_w = distances[0] ** (-alpha)
-        if not active.any():
-            return np.full(size, np.inf)
-        weights = distances[active] ** (-alpha)
-        h1 = rng.standard_exponential(size)
-        h_int = rng.standard_exponential((size, weights.size))
-        return h1 * signal_w / (h_int @ weights)
+    def exact(rng, above, size):
+        dist_sq = np.square(above[0])
+        marks = sample_mark_rows(rng, above, size)
+        p1 = _single_interferer_p1 if single else _exact_p1_for_marks
+        return np.array([p1(d, mk, q, alpha) for d, mk in zip(dist_sq, marks)])
 
-    def p1_batch(rng, above, n1, n0):
-        (distances,) = above
-        dist_sq = np.square(distances)
-        if single:
-            offsets = _sample_first_offsets(n1, zeta, rng)
-            p1_true = _single_interferer_p1(dist_sq, offsets, q, alpha)
-        else:
-            active = rng.random((n1, params.n_points - 1)) < zeta
-            p1_true = _exact_p1_for_marks(dist_sq, active, q, alpha)
-        return rng.binomial(n0, p1_true) / n0
-
-    if inner == "sampled":
-        return LayeredModel(
-            layers=(sample_fadings, sample_mark_row, sample_distances),
-            qos=qos,
-            inner_batch=inner_batch,
-        )
     return LayeredModel(
-        layers=(sample_fadings, sample_mark_row, sample_distances),
+        layers=(sample_powers, sample_mark_rows, sample_distances),
         qos=qos,
-        p1_batch=p1_batch,
+        exact=exact if inner == "exact_binomial" else None,
     )
 
 
@@ -395,6 +408,28 @@ def run_canonical_mc(
     return nested_md_estimate(model, query, seed)
 
 
+def _grid_estimate(
+    model: LayeredModel,
+    q: float,
+    p1_grid: Sequence[float],
+    p2_grid: Sequence[float],
+    trials: tuple[int, int, int],
+    seed: int,
+) -> GridEstimate:
+    """Second-order estimates of ``model`` over the sorted (p1, p2) grid."""
+    p1g = np.asarray(sorted(float(p) for p in p1_grid))
+    p2g = np.asarray(sorted(float(p) for p in p2_grid))
+    values, stderr = nested_md_grid(model, q, (p1g, p2g), trials, seed)
+    return GridEstimate(
+        p1_grid=tuple(p1g),
+        p2_grid=tuple(p2g),
+        values=values,
+        stderr=stderr,
+        trials=tuple(int(n) for n in trials),
+        seed=seed,
+    )
+
+
 def run_canonical_mc_grid(
     params: CanonicalParams,
     q: float,
@@ -403,44 +438,10 @@ def run_canonical_mc_grid(
     trials: tuple[int, int, int],
     seed: int,
 ) -> GridEstimate:
-    """Second-order estimates over a (p1, p2) grid from one shared sample set.
-
-    Statistically each grid cell is a standard nested-MC run at the given
-    trial counts (exact-binomial inner layer); cells share outer and middle
-    samples, so they are correlated across the grid but individually valid.
-    """
-    p1g = np.asarray(sorted(float(p) for p in p1_grid))
-    p2g = np.asarray(sorted(float(p) for p in p2_grid))
-    if np.any((p1g <= 0) | (p1g >= 1)) or np.any((p2g <= 0) | (p2g >= 1)):
-        raise DomainError("thresholds must lie strictly in (0, 1)")
-    n0, n1, n2 = (int(n) for n in trials)
-    if min(n0, n1, n2) < 1:
-        raise DomainError("all trial counts must be >= 1")
-    cfg = PppConfig(intensity=params.intensity, n_points=params.n_points)
-    single = params.mode == "single_interferer"
-    counts = np.zeros((p1g.size, p2g.size), dtype=np.int64)
-    for i in range(n2):
-        rng = derive_rng(seed, 2, i)
-        dist_sq = np.square(sample_ordered_distances(cfg, rng))
-        if single:
-            offsets = _sample_first_offsets(n1, params.zeta, rng)
-            p1_true = _single_interferer_p1(dist_sq, offsets, q, params.alpha)
-        else:
-            active = rng.random((n1, params.n_points - 1)) < params.zeta
-            p1_true = _exact_p1_for_marks(dist_sq, active, q, params.alpha)
-        p1_est = rng.binomial(n0, p1_true) / n0
-        p2_est = (p1_est[None, :] > p1g[:, None]).mean(axis=1)
-        counts += p2_est[:, None] > p2g[None, :]
-    values = counts / n2
-    stderr = np.sqrt(values * (1.0 - values) / n2)
-    return GridEstimate(
-        p1_grid=tuple(p1g),
-        p2_grid=tuple(p2g),
-        values=values,
-        stderr=stderr,
-        trials=(n0, n1, n2),
-        seed=seed,
-    )
+    """Second-order estimates over a (p1, p2) grid from one shared sample set
+    (exact-binomial inner layer); see :func:`mdcore.nested_md_grid`."""
+    model = canonical_layered_model(params, q, inner="exact_binomial")
+    return _grid_estimate(model, q, p1_grid, p2_grid, trials, seed)
 
 
 def first_order_md_mc(
@@ -470,37 +471,16 @@ def first_order_md_mc_grid(
     seed: int,
     inner: str = "exact_binomial",
 ) -> GridEstimate:
-    """First-order estimates over a p1 grid from one shared sample set."""
-    if inner not in INNER_MODES:
-        raise DomainError(f"inner must be one of {INNER_MODES}")
+    """First-order estimates over a p1 grid from one shared sample set.
+
+    The second-order model with one mark draw per point draw lumps the two
+    into the outer layer: P2 is then 0 or 1, and P2 > 1/2 exactly when the
+    single P1 estimate exceeds p1.
+    """
     p1g = np.asarray(sorted(float(p) for p in p1_grid))
-    if np.any((p1g <= 0) | (p1g >= 1)):
-        raise DomainError("thresholds must lie strictly in (0, 1)")
     n0, n_outer = (int(n) for n in trials)
-    if min(n0, n_outer) < 1:
-        raise DomainError("all trial counts must be >= 1")
-    cfg = PppConfig(intensity=params.intensity, n_points=params.n_points)
-    counts = np.zeros(p1g.size, dtype=np.int64)
-    for i in range(n_outer):
-        rng = derive_rng(seed, 1, i)
-        distances = sample_ordered_distances(cfg, rng)
-        marks = sample_marks(params.n_points, params.zeta, _MARK_MODE[params.mode], rng)
-        if inner == "exact_binomial":
-            p1_true = conditional_link_success(distances, marks, q, params.alpha)
-            p1_est = rng.binomial(n0, p1_true) / n0
-        else:
-            active = marks.astype(bool)
-            if active.any():
-                weights = distances[active] ** (-params.alpha)
-                h1 = rng.standard_exponential(n0)
-                h_int = rng.standard_exponential((n0, weights.size))
-                sirs = h1 * distances[0] ** (-params.alpha) / (h_int @ weights)
-                p1_est = float(np.count_nonzero(sirs > q)) / n0
-            else:
-                p1_est = 1.0
-        counts += p1_est > p1g
-    values = (counts / n_outer)[:, None]
-    stderr = np.sqrt(values * (1.0 - values) / n_outer)
+    model = canonical_layered_model(params, q, inner=inner)
+    values, stderr = nested_md_grid(model, q, (p1g, (0.5,)), (n0, 1, n_outer), seed)
     return GridEstimate(
         p1_grid=tuple(p1g),
         p2_grid=(),

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -277,7 +277,7 @@ def _parse_trials(text: str, n: int) -> tuple[int, ...]:
     return parts
 
 
-def _canonical_params(args, q_ignored: bool = False) -> can.CanonicalParams:
+def _canonical_params(args) -> can.CanonicalParams:
     if args.q is not None:
         qos_kwargs = {"q": args.q}
     elif args.l is not None and args.bw is not None and args.tth is not None:

@@ -1,22 +1,45 @@
 """Generic hierarchical meta-distribution machinery.
 
-An n-layer model is an ordered list of samplers (innermost = fastest
-randomness first) plus a deterministic QoS evaluator.  The nested
-estimator realizes, for each outer draw, the recursive conditional
-probabilities
+An n-layer model is an ordered tuple of batch samplers (innermost, fastest
+randomness first) plus a vectorized QoS evaluator.  The nested estimator
+realizes, for each outer draw, the recursive conditional probabilities
 
     P_1 = fraction of inner draws with Q > q
     P_k = fraction of layer-(k-1) draws with P_(k-1) > p_(k-1)
 
-and returns the outermost exceedance fraction.  All comparisons are
-strict, matching the defining formulas; thresholds at 0 or 1 are rejected
-for that reason.
+and returns the fraction of outer draws with P_n > p_n.  All comparisons
+are strict, matching the defining formulas; thresholds at 0 or 1 are
+rejected for that reason.
+
+One engine serves every order and every threshold grid.  Its batch
+contract:
+
+- Stream address.  Outer draw i of an order-k estimate draws everything
+  below it from its own stream ``derive_rng(seed, k, i)``, with k = 0 for
+  the zeroth-order ccdf, so a result is bit-identical for a fixed (seed,
+  trials) regardless of evaluation order.
+- Samplers.  ``layers[k](rng, above, size)`` receives the states of the
+  layers above it, outermost first, each an array whose first axis holds m
+  parent rows, and ``size = (m, n)``.  It returns n independent states for
+  each parent row, an array of shape ``(m, n, ...)``.  The outermost layer
+  gets ``above = ()`` and ``size = (1, 1)``.  Before descending, the engine
+  flattens the new states to ``(m * n, ...)`` and repeats every parent row
+  n times, so all arrays in ``above`` share their first axis.
+- QoS.  ``qos(states)`` receives ``above`` plus the innermost states of
+  shape ``(m, N0, ...)`` and returns the ``(m, N0)`` QoS values.  An inner
+  draw succeeds when its QoS is strictly greater than q.
+- Exact hook.  ``exact(rng, above, size)`` draws the layer-1 states, as
+  ``layers[1]`` would, and returns their exact conditional success
+  probabilities P1 with shape ``size``.  The engine then draws
+  Binomial(N0, P1)/N0, in place of ``layers[1]``, ``layers[0]`` and ``qos``.
+  The hook must preserve the estimator's law exactly: its P1 must be the
+  probability that one inner draw succeeds given those states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,43 +52,38 @@ __all__ = [
     "MdQuery",
     "MdEstimate",
     "nested_md_estimate",
+    "nested_md_grid",
     "zeroth_order_reliability",
     "reduce_order",
 ]
 
 MAX_LAYERS = 4
 
-# Sampler signature: sampler(rng, above) -> state, where `above` is the tuple
-# of already-realized states of the layers above it, outermost first.
-LayerSampler = Callable[[np.random.Generator, tuple], object]
+# Batch sampler: sampler(rng, above, size) -> states of shape size + state shape.
+LayerSampler = Callable[[np.random.Generator, tuple, tuple], np.ndarray]
 
 
 @dataclass(frozen=True)
 class LayeredModel:
-    """Ordered layer samplers plus a QoS evaluator.
+    """Ordered batch samplers, a vectorized QoS evaluator and an optional
+    exact hook, under the batch contract of the module docstring.
 
     ``layers[0]`` is the innermost (fastest) layer, ``layers[-1]`` the
-    outermost (static) one.  ``qos`` maps the fully realized state tuple
-    (outermost first) to a real QoS value and must be deterministic.
-
-    Optional vectorized hooks:
-
-    - ``inner_batch(rng, above, size)`` returns ``size`` QoS samples given
-      the states of all layers above the innermost; it replaces the scalar
-      inner loop.
-    - ``p1_batch(rng, above, n1, n0)`` returns ``n1`` inner-probability
-      estimates, each statistically identical to an ``n0``-draw inner loop;
-      it replaces the two innermost loops.  Implementations must preserve
-      the estimator's law exactly (e.g. by sampling Binomial(n0, P1)/n0
-      when the conditional success probability is known in closed form).
+    outermost (static) one.  ``sampler(rng, above, size)`` gets the m
+    parent rows of the layers above (outermost first) and ``size = (m, n)``
+    and returns n states per row, shape ``(m, n, ...)``.  ``qos`` maps
+    innermost states of shape ``(m, N0, ...)`` to deterministic ``(m, N0)``
+    QoS values; a draw succeeds when QoS > q, strictly.  ``exact(rng, above,
+    size)`` draws layer-1 states and returns their exact P1, shape ``size``;
+    the engine samples Binomial(N0, P1)/N0 from it, so the hook must
+    preserve the estimator's law exactly.  Outer draw i of an order-k
+    estimate uses the stream ``derive_rng(seed, k, i)``.  A model needs
+    ``qos``, ``exact`` or both.
     """
 
     layers: tuple
-    qos: Optional[Callable[[tuple], float]] = None
-    inner_batch: Optional[Callable[[np.random.Generator, tuple, int], np.ndarray]] = None
-    p1_batch: Optional[
-        Callable[[np.random.Generator, tuple, int, int], np.ndarray]
-    ] = None
+    qos: Optional[Callable[[tuple], np.ndarray]] = None
+    exact: Optional[LayerSampler] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -73,8 +91,8 @@ class LayeredModel:
             raise ConfigurationError(
                 f"need between 2 and {MAX_LAYERS} layers, got {len(self.layers)}"
             )
-        if self.qos is None and self.inner_batch is None and self.p1_batch is None:
-            raise ConfigurationError("model needs qos, inner_batch, or p1_batch")
+        if self.qos is None and self.exact is None:
+            raise ConfigurationError("model needs qos or exact")
 
     @property
     def order(self) -> int:
@@ -118,73 +136,100 @@ class MdEstimate:
             raise DomainError("stderr must be >= 0")
 
 
-def _binomial_stderr(value: float, n: int) -> float:
-    return math.sqrt(max(value * (1.0 - value), 0.0) / n)
+def _descend(above: tuple, states: np.ndarray, size: tuple[int, int]) -> tuple:
+    """Append (m, n, ...) states to the parent rows, flattened row-major."""
+    m, n = size
+    if n > 1:
+        above = tuple(np.repeat(a, n, axis=0) for a in above)
+    return above + (states.reshape((m * n,) + states.shape[2:]),)
 
 
-def _inner_fraction(
-    model: LayeredModel, query: MdQuery, above: tuple, rng: np.random.Generator
-) -> float:
-    n0 = query.trials[0]
-    if model.inner_batch is not None:
-        qs = np.asarray(model.inner_batch(rng, above, n0))
-        return float(np.count_nonzero(qs > query.q)) / n0
-    count = 0
-    for _ in range(n0):
-        state = model.layers[0](rng, above)
-        if model.qos(above + (state,)) > query.q:
-            count += 1
-    return count / n0
+def _p1_estimates(
+    model: LayeredModel, q: float, trials: tuple[int, ...], rng: np.random.Generator
+) -> np.ndarray:
+    """P1 estimates under one outer draw, shape (N_(n-1), ..., N_1)."""
+    sizes = (1,) + tuple(trials[-2:0:-1])  # draws per parent row, layers n..1
+    above: tuple = ()
+    m = 1
+    for layer, n_k in zip(model.layers[:1:-1], sizes):
+        above = _descend(above, layer(rng, above, (m, n_k)), (m, n_k))
+        m *= n_k
+    size = (m, sizes[-1])
+    n0 = trials[0]
+    if model.exact is not None:
+        p1 = rng.binomial(n0, model.exact(rng, above, size)) / n0
+    else:
+        above = _descend(above, model.layers[1](rng, above, size), size)
+        inner = model.layers[0](rng, above, (m * sizes[-1], n0))
+        p1 = (model.qos(above + (inner,)) > q).sum(axis=1) / n0
+    return p1.reshape(sizes[1:])
 
 
-def _p_estimate(
+def _exceedance_counts(
     model: LayeredModel,
-    query: MdQuery,
-    level: int,
-    above: tuple,
-    rng: np.random.Generator,
-) -> float:
-    """Estimate P_level given the realized states of layers level..n."""
-    if level == 1:
-        return _inner_fraction(model, query, above, rng)
-    if level == 2 and model.p1_batch is not None:
-        n1, n0 = query.trials[1], query.trials[0]
-        p1s = np.asarray(model.p1_batch(rng, above, n1, n0))
-        return float(np.count_nonzero(p1s > query.p[0])) / n1
-    n_below = query.trials[level - 1]
-    threshold = query.p[level - 2]
-    count = 0
-    for _ in range(n_below):
-        state = model.layers[level - 1](rng, above)
-        if _p_estimate(model, query, level - 1, above + (state,), rng) > threshold:
-            count += 1
-    return count / n_below
+    q: float,
+    grids: list[np.ndarray],
+    trials: tuple[int, ...],
+    seed: int,
+    stream: int,
+) -> np.ndarray:
+    """Number of outer draws with P_n > p_n for every threshold combination,
+    shape (len(grids[0]), ..., len(grids[-1])); all cells share the draws."""
+    n = model.order
+    est = np.empty(trials[:0:-1])
+    for i in range(trials[-1]):
+        est[i] = _p1_estimates(model, q, trials, derive_rng(seed, stream, i))
+    # est: sample axes (N_n, ..., N_k), then threshold axes p_1..p_(k-1)
+    for k in range(1, n):
+        est = (est[..., None] > grids[k - 1]).sum(axis=n - k) / trials[k]
+    return (est[..., None] > grids[-1]).sum(axis=0)
+
+
+def _with_stderr(counts: np.ndarray, n_outer: int) -> tuple[np.ndarray, np.ndarray]:
+    values = counts / n_outer
+    return values, np.sqrt(values * (1.0 - values) / n_outer)
+
+
+def nested_md_grid(
+    model: LayeredModel,
+    q: float,
+    p_grids: Sequence[Sequence[float]],
+    trials: Sequence[int],
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """n-th order MD reliability over a grid of thresholds by nested MC.
+
+    ``p_grids`` holds one threshold grid per layer target (p_1 grid first)
+    and ``trials`` the counts (N0, ..., Nn).  Returns (values, stderr), each
+    of shape (len(p_grids[0]), ..., len(p_grids[-1])).  Every cell is a
+    standard nested-MC estimate at these trial counts; cells share one
+    sample set, so they are correlated across the grid but individually
+    valid, and a one-cell grid equals the single-point estimate bit for bit.
+    """
+    n = model.order
+    if len(p_grids) != n or len(trials) != n + 1:
+        raise ConfigurationError(
+            f"an order-{n} model needs {n} threshold grids and {n + 1} trial counts"
+        )
+    grids = [np.asarray(g, dtype=float).ravel() for g in p_grids]
+    if any(np.any((g <= 0.0) | (g >= 1.0)) for g in grids):
+        raise DomainError("thresholds must lie strictly in (0, 1)")
+    trials = tuple(int(t) for t in trials)
+    if min(trials) < 1:
+        raise DomainError("all trial counts must be >= 1")
+    if not math.isfinite(q):
+        raise DomainError("q must be finite")
+    return _with_stderr(_exceedance_counts(model, q, grids, trials, seed, n), trials[-1])
 
 
 def nested_md_estimate(model: LayeredModel, query: MdQuery, seed: int) -> MdEstimate:
-    """n-th order MD reliability by nested Monte Carlo.
-
-    Per outer realization an independent RNG stream is derived from
-    (seed, layer index, realization index), so the result is bit-identical
-    for a fixed (seed, query) regardless of evaluation order.
-    """
-    n = model.order
-    if len(query.p) != n:
-        raise ConfigurationError(
-            f"query has {len(query.p)} thresholds but the model is order {n}"
-        )
-    n_outer = query.trials[-1]
-    p_outer = query.p[-1]
-    count = 0
-    for i in range(n_outer):
-        rng = derive_rng(seed, n, i)
-        outer_state = model.layers[-1](rng, ())
-        if _p_estimate(model, query, n, (outer_state,), rng) > p_outer:
-            count += 1
-    value = count / n_outer
+    """n-th order MD reliability by nested Monte Carlo at one threshold point."""
+    values, stderr = nested_md_grid(
+        model, query.q, [(p,) for p in query.p], query.trials, seed
+    )
     return MdEstimate(
-        value=value,
-        stderr=_binomial_stderr(value, n_outer),
+        value=float(values.flat[0]),
+        stderr=float(stderr.flat[0]),
         trials=query.trials,
         seed=seed,
     )
@@ -193,26 +238,20 @@ def nested_md_estimate(model: LayeredModel, query: MdQuery, seed: int) -> MdEsti
 def zeroth_order_reliability(
     model: LayeredModel, q: float, n_trials: int, seed: int
 ) -> MdEstimate:
-    """Standard ccdf P(Q > q): one joint realization of every layer per trial."""
+    """Standard ccdf P(Q > q): one joint realization of every layer per trial.
+
+    This is the nested estimator with every inner trial count 1, where each
+    P_k is 0 or 1 and any threshold in (0, 1) passes exactly the successes.
+    """
     if n_trials < 1:
         raise DomainError("n_trials must be >= 1")
-    count = 0
-    for i in range(n_trials):
-        rng = derive_rng(seed, 0, i)
-        states: tuple = ()
-        for sampler in reversed(model.layers[1:]):
-            states = states + (sampler(rng, states),)
-        if model.inner_batch is not None:
-            qval = float(np.asarray(model.inner_batch(rng, states, 1))[0])
-        else:
-            inner = model.layers[0](rng, states)
-            qval = model.qos(states + (inner,))
-        if qval > q:
-            count += 1
-    value = count / n_trials
+    n = model.order
+    grids = [np.array([0.5])] * n
+    counts = _exceedance_counts(model, q, grids, (1,) * n + (n_trials,), seed, 0)
+    values, stderr = _with_stderr(counts, n_trials)
     return MdEstimate(
-        value=value,
-        stderr=_binomial_stderr(value, n_trials),
+        value=float(values.flat[0]),
+        stderr=float(stderr.flat[0]),
         trials=(n_trials,),
         seed=seed,
     )

@@ -127,9 +127,16 @@ def sample_rician_power(K: float, rng: np.random.Generator, size=None):
         raise DomainError("K must be finite and >= 0")
     mean_amp = math.sqrt(K / (K + 1.0))
     sigma = math.sqrt(0.5 / (K + 1.0))
-    re = mean_amp + sigma * rng.standard_normal(size)
-    im = sigma * rng.standard_normal(size)
-    return re * re + im * im
+    # in place: large batches are bound by memory traffic, not arithmetic
+    h = rng.standard_normal(size)
+    h *= sigma
+    h += mean_amp
+    h *= h
+    im = rng.standard_normal(size)
+    im *= sigma
+    im *= im
+    h += im
+    return h
 
 
 def thinned_ratio_sum_mc(

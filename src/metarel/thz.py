@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import chndtr
 
-from ._rng import derive_rng
 from .errors import (
     AccuracyError,
     ConfigurationError,
@@ -28,14 +28,14 @@ from .errors import (
     ScenarioError,
 )
 from .mdcore import LayeredModel, MdEstimate, MdQuery, nested_md_estimate
-from .canonical import GridEstimate, qos_threshold
+from .canonical import GridEstimate, _grid_estimate, qos_threshold
 from .specfun import (
     MarcumApproxCoeffs,
     calibrate_marcum_coeffs,
     lambert_w0,
     marcum_q1,
-    marcum_q1_inverse_b,
 )
+from .stochgeom import sample_rician_power
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -728,44 +728,51 @@ def r2_scenario2(
 
 
 def thz_layered_model(params: ThzParams, table: AbsorptionTable) -> LayeredModel:
-    """LayeredModel with layers (fading, carrier, nearest-BS distance)."""
+    """LayeredModel with layers (Rician fading power, carrier frequency,
+    nearest-BS distance), each state an array of those values."""
     lo, hi = params.band()
     if not table.covers(lo, hi):
         raise ConfigurationError("absorption table does not cover the band")
     lam_pi = params.intensity * math.pi
     c1 = params.c1()
-    q = params.qos()
-    k_shape = params.rician_k
-    mean_amp = math.sqrt(k_shape / (k_shape + 1.0))
-    sigma = math.sqrt(0.5 / (k_shape + 1.0))
 
-    def sample_distance(rng, above):
-        return math.sqrt(rng.standard_exponential() / lam_pi)
+    def sample_distance(rng, above, size):
+        return np.sqrt(rng.standard_exponential(size) / lam_pi)
 
-    def sample_freq(rng, above):
-        return float(sample_carrier(rng, params))
+    def sample_freq(rng, above, size):
+        return sample_carrier(rng, params, size)
 
-    def sample_fading(rng, above):
-        re = mean_amp + sigma * rng.standard_normal()
-        im = sigma * rng.standard_normal()
-        return re * re + im * im
+    def sample_fading(rng, above, size):
+        return sample_rician_power(params.rician_k, rng, size)
 
     def qos(states):
         r, f, h = states
-        return h * math.exp(-table.k_at(f) * r) / (c1 * (f * r) ** 2)
+        return h * (np.exp(-table.k_at(f) * r) / (c1 * np.square(f * r)))[:, None]
 
-    def inner_batch(rng, above, size):
-        r, f = above
-        re = mean_amp + sigma * rng.standard_normal(size)
-        im = sigma * rng.standard_normal(size)
-        h = re * re + im * im
-        return h * math.exp(-table.k_at(f) * r) / (c1 * (f * r) ** 2)
+    return LayeredModel(layers=(sample_fading, sample_freq, sample_distance), qos=qos)
 
-    return LayeredModel(
-        layers=(sample_fading, sample_freq, sample_distance),
-        qos=qos,
-        inner_batch=inner_batch,
-    )
+
+def _thz_model(
+    params: ThzParams, table: AbsorptionTable, exact_inner: bool
+) -> LayeredModel:
+    """The THz LayeredModel; ``exact_inner`` adds the exact hook, whose P1 is
+    the Marcum probability of :func:`p1_thz` in vectorized form, the
+    noncentral chi-square ccdf Q1(sqrt(2K), b) = 1 - chndtr(b^2, 2, 2K).
+    (scipy.stats.ncx2.sf is the same function, but importing scipy.stats
+    costs every process about a second and 20 MB.)"""
+    model = thz_layered_model(params, table)
+    if not exact_inner:
+        return model
+    c2 = _c2(params)
+    sample_freq = model.layers[1]
+
+    def exact(rng, above, size):
+        r = above[-1][:, None]
+        f = sample_freq(rng, above, size)
+        b = c2 * f * r * np.exp(0.5 * table.k_at(f) * r)
+        return 1.0 - chndtr(np.square(b), 2, 2.0 * params.rician_k)
+
+    return replace(model, exact=exact)
 
 
 def run_thz_mc(
@@ -777,32 +784,15 @@ def run_thz_mc(
 ) -> MdEstimate:
     """Second-order MD reliability of the THz model by nested MC.
 
-    With ``exact_inner`` the fading loop is replaced by the exact Marcum
-    success probability (threshold comparison), removing inner-layer noise;
-    the default runs the full three-loop estimator.
+    With ``exact_inner`` the fading loop is replaced by Binomial(N0, P1)/N0
+    sampling with the exact Marcum success probability P1, which has the
+    same law; the default runs the full three-loop estimator.
     """
     if len(query.p) != 2:
         raise ConfigurationError("THz MC is second order: need two thresholds")
     if abs(query.q - params.qos()) > 1e-12 * max(1.0, abs(params.qos())):
         raise ConfigurationError("query.q must equal the params QoS threshold")
-    if exact_inner:
-        grid = run_thz_mc_grid(
-            params,
-            table,
-            (query.p[0],),
-            (query.p[1],),
-            (query.trials[0], query.trials[1], query.trials[2]),
-            seed,
-            exact_inner=True,
-        )
-        return MdEstimate(
-            value=float(grid.values[0, 0]),
-            stderr=float(grid.stderr[0, 0]),
-            trials=query.trials,
-            seed=seed,
-        )
-    model = thz_layered_model(params, table)
-    return nested_md_estimate(model, query, seed)
+    return nested_md_estimate(_thz_model(params, table, exact_inner), query, seed)
 
 
 def run_thz_mc_grid(
@@ -815,53 +805,8 @@ def run_thz_mc_grid(
     exact_inner: bool = False,
 ) -> GridEstimate:
     """Second-order THz estimates over a (p1, p2) grid, one shared sample set."""
-    lo, hi = params.band()
-    if not table.covers(lo, hi):
-        raise ConfigurationError("absorption table does not cover the band")
-    p1g = np.asarray(sorted(float(p) for p in p1_grid))
-    p2g = np.asarray(sorted(float(p) for p in p2_grid))
-    if np.any((p1g <= 0) | (p1g >= 1)) or np.any((p2g <= 0) | (p2g >= 1)):
-        raise DomainError("thresholds must lie strictly in (0, 1)")
-    n0, n1, n2 = (int(n) for n in trials)
-    if min(n0, n1, n2) < 1:
-        raise DomainError("all trial counts must be >= 1")
-    lam_pi = params.intensity * math.pi
-    c1q = params.c1() * params.qos()
-    k_shape = params.rician_k
-    mean_amp = math.sqrt(k_shape / (k_shape + 1.0))
-    sigma = math.sqrt(0.5 / (k_shape + 1.0))
-    a = math.sqrt(2.0 * k_shape)
-    if exact_inner:
-        # exact P1 > p1 is a threshold comparison through the Marcum inverse
-        b_stars = np.array([marcum_q1_inverse_b(a, p) for p in p1g])
-        h_stars = np.square(b_stars) / (2.0 * (k_shape + 1.0))
-    counts = np.zeros((p1g.size, p2g.size), dtype=np.int64)
-    for i in range(n2):
-        rng = derive_rng(seed, 2, i)
-        r = math.sqrt(rng.standard_exponential() / lam_pi)
-        f = sample_carrier(rng, params, n1)
-        kf = table.k_at(f)
-        h_threshold = c1q * np.square(f * r) * np.exp(kf * r)
-        if exact_inner:
-            # success iff the fading threshold is below the Marcum one
-            p2_est = (h_threshold[None, :] < h_stars[:, None]).mean(axis=1)
-        else:
-            re = mean_amp + sigma * rng.standard_normal((n1, n0), dtype=np.float32)
-            im = sigma * rng.standard_normal((n1, n0), dtype=np.float32)
-            h = re * re + im * im
-            p1_est = (h > h_threshold[:, None].astype(np.float32)).mean(axis=1)
-            p2_est = (p1_est[None, :] > p1g[:, None]).mean(axis=1)
-        counts += p2_est[:, None] > p2g[None, :]
-    values = counts / n2
-    stderr = np.sqrt(values * (1.0 - values) / n2)
-    return GridEstimate(
-        p1_grid=tuple(p1g),
-        p2_grid=tuple(p2g),
-        values=values,
-        stderr=stderr,
-        trials=(n0, n1, n2),
-        seed=seed,
-    )
+    model = _thz_model(params, table, exact_inner)
+    return _grid_estimate(model, params.qos(), p1_grid, p2_grid, trials, seed)
 
 
 def optimal_bandwidth_sweep(

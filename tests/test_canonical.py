@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,6 +126,37 @@ class TestSingleInterfererClosedForm:
         single = can.r2_single_interferer(p1, p2, q, alpha, zeta)
         multi = can.r2_multi_interferer(p1, p2, q, alpha, zeta)
         assert 0.0 <= multi <= single <= 1.0
+
+
+class TestSuccessTerms:
+    @pytest.mark.parametrize("zeta", [0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("p2", [0.3, 0.5, 0.8])
+    def test_strict_count_matches_exact_arithmetic(self, zeta, p2):
+        # the n >= 0 with (1 - zeta)^n > p2 in exact decimal arithmetic; the
+        # atoms (0.5, 0.5) and (0.2, 0.8) are excluded by the strict '>'
+        base, target = 1 - Fraction(str(zeta)), Fraction(str(p2))
+        want = next(n for n in itertools.count() if not base**n > target)
+        assert can._success_terms(p2, zeta) == want
+        x = 1.0 / can.p1_hat(0.8, 1.0, 3.5) ** 2
+        closed = can.r2_single_interferer(0.8, p2, 1.0, 3.5, zeta)
+        assert closed == pytest.approx(1.0 - (1.0 - x) ** want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "zeta,p2", [(0.3, 0.7), (0.3, 0.49), (0.1, 0.729), (0.6, 0.16), (0.3, 0.2401)]
+    )
+    def test_ratio_just_above_an_integer_is_the_atom(self, zeta, p2):
+        # (1 - zeta)^n == p2 exactly, but ln p2 / ln(1 - zeta) rounds to a
+        # few ulp above n, where a plain ceil would count the atom
+        base, target = 1 - Fraction(str(zeta)), Fraction(str(p2))
+        want = next(n for n in itertools.count() if not base**n > target)
+        assert base**want == target
+        assert can._success_terms(p2, zeta) == want
+
+    @pytest.mark.parametrize("p1", [0.8, 0.9])
+    def test_single_term_is_bit_exact(self, p1):
+        want = 1.0 / can.p1_hat(p1, 1.0, 3.5) ** 2
+        for p2 in np.linspace(0.01, 0.99, 25):
+            assert can.r2_single_interferer(p1, p2, 1.0, 3.5, 1.0) == want
 
 
 class TestInterferenceRatio:

@@ -11,6 +11,7 @@ from metarel.mdcore import (
     MdEstimate,
     MdQuery,
     nested_md_estimate,
+    nested_md_grid,
     reduce_order,
     zeroth_order_reliability,
 )
@@ -19,20 +20,42 @@ from metarel.mdcore import (
 def coin_toy_model() -> LayeredModel:
     """Outer fair coin picks an inner success probability of 0.9 or 0.3."""
 
-    def outer(rng, above):
-        return 0.9 if rng.random() < 0.5 else 0.3
+    def outer(rng, above, size):
+        return np.where(rng.random(size) < 0.5, 0.9, 0.3)
 
-    def inner(rng, above):
-        return 1.0 if rng.random() < above[0] else 0.0
+    def inner(rng, above, size):
+        return (rng.random(size) < above[0][:, None]).astype(float)
 
     return LayeredModel(layers=(inner, outer), qos=lambda s: s[-1])
 
 
 def constant_model(value: float) -> LayeredModel:
     return LayeredModel(
-        layers=(lambda rng, above: value, lambda rng, above: None),
+        layers=(lambda rng, above, size: np.full(size, value), _nothing),
         qos=lambda s: s[-1],
     )
+
+
+def _nothing(rng, above, size):
+    """A layer without randomness."""
+    return np.zeros(size)
+
+
+def four_layer_model(w_prob: float) -> LayeredModel:
+    """Outermost coin picks w = 0.9 with probability w_prob, else 0.1; each
+    layer below picks 0.8 with its parent's value as probability, else 0.2;
+    an inner draw succeeds with the layer-1 value as probability."""
+
+    def outer(rng, above, size):
+        return np.where(rng.random(size) < w_prob, 0.9, 0.1)
+
+    def pick(rng, above, size):
+        return np.where(rng.random(size) < above[-1][:, None], 0.8, 0.2)
+
+    def inner(rng, above, size):
+        return (rng.random(size) < above[-1][:, None]).astype(float)
+
+    return LayeredModel(layers=(inner, pick, pick, outer), qos=lambda s: s[-1])
 
 
 class TestValidation:
@@ -50,11 +73,12 @@ class TestValidation:
             MdQuery(q=1.0, p=(0.5,), trials=(0, 10))
 
     def test_layer_count_limits(self):
-        f = lambda rng, above: 0.0
         with pytest.raises(ConfigurationError):
-            LayeredModel(layers=(f,), qos=lambda s: 0.0)
+            LayeredModel(layers=(_nothing,), qos=lambda s: s[-1])
         with pytest.raises(ConfigurationError):
-            LayeredModel(layers=(f,) * 5, qos=lambda s: 0.0)
+            LayeredModel(layers=(_nothing,) * 5, qos=lambda s: s[-1])
+        with pytest.raises(ConfigurationError):
+            LayeredModel(layers=(_nothing,) * 2)
 
     def test_model_query_mismatch(self):
         model = coin_toy_model()
@@ -92,16 +116,10 @@ class TestNestedEstimate:
 
     def test_degenerate_middle_layer(self):
         # a pass-through middle layer must not change the estimate
-        def outer(rng, above):
-            return 0.9 if rng.random() < 0.5 else 0.3
-
-        def middle(rng, above):
-            return None
-
-        def inner(rng, above):
-            return 1.0 if rng.random() < above[0] else 0.0
-
-        model = LayeredModel(layers=(inner, middle, outer), qos=lambda s: s[-1])
+        coin = coin_toy_model()
+        model = LayeredModel(
+            layers=(coin.layers[0], _nothing, coin.layers[1]), qos=coin.qos
+        )
         est = nested_md_estimate(
             model, MdQuery(q=0.5, p=(0.5, 0.5), trials=(4000, 1, 4000)), seed=5
         )
@@ -109,7 +127,7 @@ class TestNestedEstimate:
 
     def test_all_layers_deterministic(self):
         model = LayeredModel(
-            layers=(lambda rng, a: 2.0, lambda rng, a: None, lambda rng, a: None),
+            layers=(lambda rng, above, size: np.full(size, 2.0), _nothing, _nothing),
             qos=lambda s: s[-1],
         )
         est = nested_md_estimate(
@@ -122,16 +140,8 @@ class TestNestedEstimate:
         # inner success probability from {0.8, 0.2}.  With p1 = 0.5 only the
         # 0.8 branch clears the inner target, so P2 = w; with p2 = 0.5 only
         # w = 0.9 clears the middle target: R = 0.5.
-        def outer(rng, above):
-            return 0.9 if rng.random() < 0.5 else 0.1
-
-        def middle(rng, above):
-            return 0.8 if rng.random() < above[0] else 0.2
-
-        def inner(rng, above):
-            return 1.0 if rng.random() < above[1] else 0.0
-
-        model = LayeredModel(layers=(inner, middle, outer), qos=lambda s: s[-1])
+        four = four_layer_model(0.5)
+        model = LayeredModel(layers=four.layers[:2] + four.layers[3:], qos=four.qos)
         est = nested_md_estimate(
             model, MdQuery(q=0.5, p=(0.5, 0.5), trials=(600, 400, 1500)), seed=7
         )
@@ -158,30 +168,35 @@ class TestNestedEstimate:
         ]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
-    def test_inner_batch_hook_equivalent(self):
-        def outer(rng, above):
-            return 0.9 if rng.random() < 0.5 else 0.3
+    def test_four_level_enumeration(self):
+        # as above one layer deeper: P1 > 0.5 only on the 0.8 branch, so
+        # P2 = v and P3 = w; with p3 = 0.5 only w = 0.9 clears: R = 0.3
+        est = nested_md_estimate(
+            four_layer_model(0.3),
+            MdQuery(q=0.5, p=(0.5, 0.5, 0.5), trials=(40, 30, 30, 1000)),
+            seed=14,
+        )
+        assert abs(est.value - 0.3) <= 4.0 * 0.5 / math.sqrt(1000)
 
-        def inner_batch(rng, above, size):
-            return (rng.random(size) < above[0]).astype(float)
+    def test_exact_hook_at_order_one(self):
+        def exact(rng, above, size):
+            # the outer coin is layer 1 here; its bias is the exact P1
+            return np.where(rng.random(size) < 0.5, 0.9, 0.3)
 
-        hooked = LayeredModel(layers=(lambda r, a: 0.0, outer), inner_batch=inner_batch)
+        hooked = LayeredModel(layers=(_nothing, _nothing), exact=exact)
         est = nested_md_estimate(
             hooked, MdQuery(q=0.5, p=(0.5,), trials=(2000, 2000)), seed=11
         )
         assert abs(est.value - 0.5) <= 3.0 * 0.5 / math.sqrt(2000)
 
-    def test_p1_batch_hook_equivalent(self):
-        def outer(rng, above):
-            return 0.9 if rng.random() < 0.5 else 0.3
+    def test_exact_hook_equivalent(self):
+        coin = coin_toy_model()
 
-        def p1_batch(rng, above, n1, n0):
-            # exact conditional success probability is the coin bias itself
-            return rng.binomial(n0, above[0], size=n1) / n0
+        def exact(rng, above, size):
+            # the middle layer is inert: the exact P1 is the outer coin bias
+            return np.broadcast_to(above[0][:, None], size)
 
-        hooked = LayeredModel(
-            layers=(lambda r, a: 0.0, lambda r, a: None, outer), p1_batch=p1_batch
-        )
+        hooked = LayeredModel(layers=(_nothing, _nothing, coin.layers[1]), exact=exact)
         est = nested_md_estimate(
             hooked, MdQuery(q=0.5, p=(0.5, 0.5), trials=(500, 50, 2000)), seed=12
         )
@@ -192,6 +207,31 @@ class TestNestedEstimate:
             coin_toy_model(), MdQuery(q=0.5, p=(0.5,), trials=(200, 150)), seed=13
         )
         assert est.stderr <= 0.5 / math.sqrt(150) + 1e-12
+
+
+class TestGrid:
+    @pytest.mark.parametrize(
+        "model,grids,trials",
+        [
+            (coin_toy_model(), ((0.2, 0.5, 0.8),), (40, 300)),
+            (four_layer_model(0.3), ((0.3, 0.7), (0.4, 0.6), (0.5, 0.9)), (8, 6, 5, 40)),
+        ],
+    )
+    def test_cells_equal_single_point_estimates(self, model, grids, trials):
+        values, stderr = nested_md_grid(model, 0.5, grids, trials, seed=15)
+        assert values.shape == tuple(len(g) for g in grids)
+        for cell in np.ndindex(values.shape):
+            p = tuple(g[i] for g, i in zip(grids, cell))
+            est = nested_md_estimate(model, MdQuery(q=0.5, p=p, trials=trials), seed=15)
+            assert (est.value, est.stderr) == (values[cell], stderr[cell])
+
+    def test_rejects_bad_grids(self):
+        with pytest.raises(DomainError):
+            nested_md_grid(coin_toy_model(), 0.5, ((0.5, 1.0),), (5, 5), seed=0)
+        with pytest.raises(DomainError):
+            nested_md_grid(coin_toy_model(), 0.5, ((0.5,),), (0, 5), seed=0)
+        with pytest.raises(ConfigurationError):
+            nested_md_grid(coin_toy_model(), 0.5, ((0.5,), (0.5,)), (5, 5, 5), seed=0)
 
 
 class TestReduceOrder:

@@ -407,6 +407,16 @@ class TestThzMonteCarlo:
         sigma = math.hypot(est.stderr, float(grid.stderr[0, 0]))
         assert abs(est.value - float(grid.values[0, 0])) <= 3.0 * max(sigma, 0.025)
 
+    def test_exact_hook_matches_marcum_quadrature(self):
+        prm = thz.ThzParams(m_shape=1)
+        exact = thz._thz_model(prm, TABLE_VALLEY, exact_inner=True).exact
+        r = np.array([10.0, 45.0, 55.0, 60.0])
+        p1 = exact(np.random.default_rng(48), (r,), (4, 5))
+        f = thz.sample_carrier(np.random.default_rng(48), prm, (4, 5))
+        for i, j in np.ndindex(p1.shape):
+            want = thz.p1_thz(f[i, j], r[i], prm, TABLE_VALLEY)
+            assert p1[i, j] == pytest.approx(want, abs=1e-12)
+
     def test_vanishing_distance_saturates(self):
         prm = thz.ThzParams(intensity=1e9)  # nearest BS essentially on top
         est = thz.run_thz_mc(
