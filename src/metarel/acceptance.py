@@ -54,6 +54,9 @@ class CheckLine:
     passed: bool
     detail: str
 
+    def __post_init__(self) -> None:
+        self.passed = bool(self.passed)  # comparisons on numpy scalars give numpy bools
+
 
 @dataclass
 class CriterionResult:

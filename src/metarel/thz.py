@@ -387,7 +387,12 @@ def carrier_cdf_coeffs(params: ThzParams) -> np.ndarray:
 
 
 def carrier_cdf_inverse(p: float, params: ThzParams) -> float:
-    """Frequency f0 with carrier_cdf(f0) = p; exact for m = 0, else bisection."""
+    """Frequency f0 with carrier_cdf(f0) = p; exact for m = 0, else bisection.
+
+    The bisection stops once the midpoint rounds onto an end of the bracket:
+    the update then leaves the bracket unchanged, and so does every later
+    step, so the result equals that of the full 100 steps.
+    """
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
     lo, hi = params.band()
@@ -396,6 +401,8 @@ def carrier_cdf_inverse(p: float, params: ThzParams) -> float:
     a, b = lo, hi
     for _ in range(100):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
         if carrier_cdf(mid, params) < p:
             a = mid
         else:
@@ -472,49 +479,141 @@ def derive_constants(
 # ---------------------------------------------------------------------------
 
 
-def attenuation_metric(f, r: float, table: AbsorptionTable):
-    """g(f; r) = f * r * exp(k(f) r / 2), the quantity thresholded by p1_tilde."""
+def attenuation_metric(f, r, table: AbsorptionTable):
+    """g(f; r) = f * r * exp(k(f) r / 2), the quantity thresholded by p1_tilde.
+
+    ``r`` is a radius or an array of radii that broadcasts against ``f``.
+    """
     f = np.asarray(f, dtype=float)
     out = f * r * np.exp(0.5 * table.k_at(f) * r)
     return float(out) if out.ndim == 0 else out
 
 
-def _monotone_pieces(
-    r: float, table: AbsorptionTable, f_low: float, f_high: float
-) -> list[tuple[float, float]]:
-    """Split the band into intervals on which g(.; r) is strictly monotone.
+def _bisect(
+    a: np.ndarray, b: np.ndarray, side, a_side: np.ndarray, steps: int
+) -> np.ndarray:
+    """Batched bisection of the brackets [a, b] for the point where the
+    boolean ``side(x)`` stops equal to ``a_side``, its value at ``a``.
+
+    Each step moves ``a`` to the midpoint where ``side`` still equals
+    ``a_side``, and ``b`` otherwise.  The loop ends after ``steps`` steps or
+    once every midpoint has rounded onto an end of its bracket: the update
+    then changes no bracket, so every later step is the same no-op and the
+    early stop returns what the full count of steps would.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        if np.all((mid == a) | (mid == b)):
+            break
+        keep = side(mid) == a_side
+        a = np.where(keep, mid, a)
+        b = np.where(keep, b, mid)
+    return 0.5 * (a + b)
+
+
+def _metric_roots(
+    fa: np.ndarray,
+    fb: np.ndarray,
+    r: np.ndarray,
+    target: float,
+    table: AbsorptionTable,
+) -> np.ndarray:
+    """Root of g(f; r) = target in each bracket [fa, fb] on which g(.; r)
+    changes sign, one batched bisection of at most 80 steps."""
+    return _bisect(
+        fa,
+        fb,
+        lambda f: attenuation_metric(f, r, table) > target,
+        attenuation_metric(fa, r, table) > target,
+        80,
+    )
+
+
+def _valley_band(
+    params: ThzParams, table: AbsorptionTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band knots and the slope of k(f) on each segment between them; a table
+    that is not valley-shaped on the band is a scenario error."""
+    lo, hi = params.band()
+    if not table.is_valley(lo, hi):
+        raise ScenarioError("k(f) is not valley-shaped on the band")
+    knots = table.knots_in_band(lo, hi)
+    return knots, np.diff(table.k_at(knots)) / np.diff(knots)
+
+
+def _crossings(
+    r: np.ndarray,
+    target: float,
+    table: AbsorptionTable,
+    knots: np.ndarray,
+    slopes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solutions of g(f; r) = target for every radius in ``r`` at once.
 
     On each linear segment of k(f), d ln g / df = 1/f + r s / 2 decreases in
     f, so g is either monotone there or rises then falls with the turn at
-    f* = -2 / (r s) (only possible for negative slope s).
+    f* = -2 / (r s) (only possible for negative slope s).  Splitting each
+    segment at its turn, where the turn lies inside, gives the monotone
+    pieces of g(.; r); a segment without a turn gets an empty second piece.
+    The pieces whose ends straddle the target are bisected together.
+
+    Returns the roots, ascending in the first ``count`` columns of an (n, 2)
+    array, the root counts and g at the lower band edge.  More than two
+    roots at any radius means the table does not have the assumed valley
+    shape.
     """
-    knots = table.knots_in_band(f_low, f_high)
-    ks = table.k_at(knots)
-    breakpoints = [float(knots[0])]
-    for i in range(len(knots) - 1):
-        fa, fb = float(knots[i]), float(knots[i + 1])
-        slope = (ks[i + 1] - ks[i]) / (fb - fa)
-        if r > 0.0 and slope < 0.0:
-            f_turn = -2.0 / (r * slope)
-            if fa < f_turn < fb:
-                breakpoints.append(f_turn)
-        breakpoints.append(fb)
-    return [(breakpoints[i], breakpoints[i + 1]) for i in range(len(breakpoints) - 1)]
+    rc = r[:, None]
+    with np.errstate(divide="ignore"):
+        f_turn = -2.0 / (rc * slopes)
+    turn = (rc > 0.0) & (slopes < 0.0) & (knots[:-1] < f_turn) & (f_turn < knots[1:])
+    ends = np.empty((r.size, 2 * slopes.size + 1))
+    ends[:, 0] = knots[0]
+    ends[:, 1::2] = np.where(turn, f_turn, knots[1:])
+    ends[:, 2::2] = knots[1:]
+    g = attenuation_metric(ends, rc, table)
+    above = g > target
+    flips = above[:, 1:] != above[:, :-1]
+    count = flips.sum(axis=1)
+    if np.any(count > 2):
+        worst = int(count[np.argmax(count > 2)])
+        raise ScenarioError(f"{worst} threshold crossings; expected at most 2")
+    rows, cols = np.nonzero(flips)
+    roots = np.full((r.size, 2), np.nan)
+    roots[rows, np.cumsum(flips, axis=1)[rows, cols] - 1] = _metric_roots(
+        ends[rows, cols], ends[rows, cols + 1], r[rows], target, table
+    )
+    return roots, count, g[:, 0]
 
 
-def _bisect_metric(
-    table: AbsorptionTable, r: float, target: float, fa: float, fb: float
-) -> float:
-    """Root of g(f; r) = target inside the monotone interval [fa, fb]."""
-    ga = attenuation_metric(fa, r, table) - target
-    for _ in range(80):
-        mid = 0.5 * (fa + fb)
-        gm = attenuation_metric(mid, r, table) - target
-        if (gm > 0.0) == (ga > 0.0):
-            fa, ga = mid, gm
-        else:
-            fb = mid
-    return 0.5 * (fa + fb)
+def _p2_radii(
+    r: np.ndarray,
+    target: float,
+    params: ThzParams,
+    table: AbsorptionTable,
+    knots: np.ndarray,
+    slopes: np.ndarray,
+) -> np.ndarray:
+    """Carrier-layer success probability P2 at every radius in ``r``.
+
+    The event window {f : g(f; r) < target} follows from the root count and
+    from the event at the lower band edge: the whole band or nothing for no
+    root, one side of the root for one root, and the valley between the
+    roots for two.  Two roots with the event true at the band edge
+    contradict the valley shape and are a scenario error.  g vanishes at
+    r = 0, where the window is the whole band.
+    """
+    lo, hi = params.band()
+    roots, count, g_lo = _crossings(r, target, table, knots, slopes)
+    true_at_lo = (g_lo < target) | (r == 0.0)
+    if np.any((count == 2) & true_at_lo):
+        raise ScenarioError("two crossings with the event true at the band edge")
+    one, two = count == 1, count == 2
+    f1 = np.where(two | (one & ~true_at_lo), roots[:, 0], lo)
+    f2 = np.select(
+        [two, one & true_at_lo, one | true_at_lo], [roots[:, 1], roots[:, 0], hi], lo
+    )
+    cdf = carrier_cdf(np.concatenate((f1, f2)), params)
+    return np.where(f2 <= f1, 0.0, np.maximum(cdf[r.size :] - cdf[: r.size], 0.0))
 
 
 def f_tilde_scenario1(
@@ -526,7 +625,8 @@ def f_tilde_scenario1(
     """Unique solution of g(f; r) = p1_tilde on a monotone-k band, or None.
 
     Requires k(f) non-decreasing over the band, which makes g strictly
-    increasing in f; a non-monotone table is a scenario error.
+    increasing in f; a non-monotone table is a scenario error.  The root is
+    the batched bisection of the whole band as a single bracket.
     """
     lo, hi = params.band()
     if not table.is_monotone_nondecreasing(lo, hi):
@@ -542,7 +642,10 @@ def f_tilde_scenario1(
     g_hi = attenuation_metric(hi, r, table)
     if not g_lo < p1_tilde_value < g_hi:
         return None
-    return _bisect_metric(table, r, p1_tilde_value, lo, hi)
+    root = _metric_roots(
+        np.array([lo]), np.array([hi]), np.array([float(r)]), p1_tilde_value, table
+    )
+    return float(root[0])
 
 
 def r2_scenario1(
@@ -581,48 +684,17 @@ def roots_scenario2(
 ) -> tuple[float, ...]:
     """Solutions of g(f; r) = p1_tilde on a valley-shaped band, ascending.
 
-    The piecewise-monotone decomposition of g is scanned for sign changes
-    and each bracket is bisected; more than two roots means the table does
-    not have the assumed valley shape.
+    The array core (:func:`_crossings`) at the single radius r: the
+    piecewise-monotone decomposition of g is scanned for sign changes and
+    each bracket is bisected; more than two roots means the table does not
+    have the assumed valley shape.
     """
-    lo, hi = params.band()
-    if not table.is_valley(lo, hi):
-        raise ScenarioError("k(f) is not valley-shaped on the band")
+    knots, slopes = _valley_band(params, table)
     if r < 0.0:
         raise DomainError("r must be >= 0")
-    if r == 0.0:
-        return ()
-    roots = []
-    for fa, fb in _monotone_pieces(r, table, lo, hi):
-        ga = attenuation_metric(fa, r, table) - p1_tilde_value
-        gb = attenuation_metric(fb, r, table) - p1_tilde_value
-        if (ga > 0.0) != (gb > 0.0):
-            roots.append(_bisect_metric(table, r, p1_tilde_value, fa, fb))
-    roots.sort()
-    if len(roots) > 2:
-        raise ScenarioError(f"{len(roots)} threshold crossings; expected at most 2")
-    return tuple(roots)
-
-
-def _event_window(
-    r: float,
-    p1_tilde_value: float,
-    params: ThzParams,
-    table: AbsorptionTable,
-) -> tuple[float, float]:
-    """Frequency window on which g(f; r) < p1_tilde, by root count."""
-    lo, hi = params.band()
-    if r == 0.0:
-        return (lo, hi)
-    roots = roots_scenario2(r, p1_tilde_value, params, table)
-    true_at_lo = attenuation_metric(lo, r, table) < p1_tilde_value
-    if len(roots) == 0:
-        return (lo, hi) if true_at_lo else (lo, lo)
-    if len(roots) == 1:
-        return (lo, roots[0]) if true_at_lo else (roots[0], hi)
-    if true_at_lo:
-        raise ScenarioError("two crossings with the event true at the band edge")
-    return roots
+    r_arr = np.array([float(r)])
+    roots, count, _ = _crossings(r_arr, p1_tilde_value, table, knots, slopes)
+    return tuple(float(f) for f in roots[0, : count[0]])
 
 
 def p2_scenario2(
@@ -631,21 +703,21 @@ def p2_scenario2(
     params: ThzParams,
     table: AbsorptionTable,
 ) -> float:
-    """Carrier-layer success probability carrier_cdf(F2) - carrier_cdf(F1)."""
-    f1, f2 = _event_window(r, p1_tilde_value, params, table)
-    if f2 <= f1:
-        return 0.0
-    return max(carrier_cdf(f2, params) - carrier_cdf(f1, params), 0.0)
+    """Carrier-layer success probability carrier_cdf(F2) - carrier_cdf(F1)
+    over the event window at the single radius r (see :func:`_p2_radii`)."""
+    knots, slopes = _valley_band(params, table)
+    if r < 0.0:
+        raise DomainError("r must be >= 0")
+    r_arr = np.array([float(r)])
+    return float(_p2_radii(r_arr, p1_tilde_value, params, table, knots, slopes)[0])
 
 
-def _superlevel_mass(
-    params: ThzParams,
-    boundaries: list[tuple[float, float]],
-) -> float:
-    """Probability mass of the nearest-distance law over radius intervals."""
+def _superlevel_mass(params: ThzParams, edges: list[float]) -> float:
+    """Probability mass of the nearest-distance law over the radius
+    intervals (edges[0], edges[1]), (edges[2], edges[3]), ..."""
     lam_pi = params.intensity * math.pi
     mass = 0.0
-    for a, b in boundaries:
+    for a, b in zip(edges[0::2], edges[1::2]):
         mass += math.exp(-lam_pi * a * a) - math.exp(-lam_pi * b * b)
     return mass
 
@@ -661,20 +733,22 @@ def r2_scenario2(
 ) -> float:
     """MD reliability on a valley-shaped band by radial integration.
 
-    The radial indicator 1[P2(r) > p2] is scanned on a midpoint grid of
-    step dr (default 0.05/sqrt(lambda pi)) out to the radius where the
-    nearest-distance tail falls below ``tail_mass``; each indicator flip is
-    refined by bisection and the nearest-distance density is integrated
-    exactly over the resulting super-level intervals.  The result must move
-    by less than 1e-3 when dr is halved, otherwise an accuracy error is
-    raised.  g(f; r) increases in r pointwise, so P2(r) is non-increasing
-    and the super-level set is typically the single interval [0, r*).
+    The radial indicator 1[P2(r) > p2] is evaluated, as one array call each,
+    on a coarse midpoint grid of step dr (default 0.05/sqrt(lambda pi)) and
+    on a fine grid of step dr/2, both out to the radius where the
+    nearest-distance tail falls below ``tail_mass``.  The indicator flips of
+    both grids are refined together by one batched bisection of at most 60
+    steps, which stops early once no bracket shrinks any more (a converged
+    bracket is a fixed point of the update, so the result is that of the
+    full 60 steps).  The nearest-distance density is integrated exactly over
+    the resulting super-level intervals of each grid.  The fine result must
+    be within 1e-3 of the coarse one, otherwise an accuracy error is raised.
+    g(f; r) increases in r pointwise, so P2(r) is non-increasing and the
+    super-level set is typically the single interval [0, r*).
     """
     if not 0.0 < p2 < 1.0:
         raise DomainError("p2 must lie strictly in (0, 1)")
-    lo, hi = params.band()
-    if not table.is_valley(lo, hi):
-        raise ScenarioError("k(f) is not valley-shaped on the band")
+    knots, slopes = _valley_band(params, table)
     lam_pi = params.intensity * math.pi
     if dr is None:
         dr = 0.05 / math.sqrt(lam_pi)
@@ -683,37 +757,29 @@ def r2_scenario2(
     consts = derive_constants(params, p1, approx)
     r_max = math.sqrt(-math.log(tail_mass) / lam_pi)
 
-    def indicator(r: float) -> bool:
-        return p2_scenario2(r, consts.p1_tilde, params, table) > p2
+    def indicator(r: np.ndarray) -> np.ndarray:
+        return _p2_radii(r, consts.p1_tilde, params, table, knots, slopes) > p2
 
-    def integrate(step: float) -> float:
+    grids, signs = [], []
+    for step in (dr, 0.5 * dr):
         n_steps = max(int(math.ceil(r_max / step)), 2)
-        grid = [0.0] + [(i + 0.5) * step for i in range(n_steps)]
-        signs = [indicator(r) for r in grid]
-        intervals: list[tuple[float, float]] = []
-        start: Optional[float] = 0.0 if signs[0] else None
-        for i in range(1, len(grid)):
-            if signs[i] == signs[i - 1]:
-                continue
-            a, b = grid[i - 1], grid[i]
-            for _ in range(60):
-                mid = 0.5 * (a + b)
-                if indicator(mid) == signs[i - 1]:
-                    a = mid
-                else:
-                    b = mid
-            crossing = 0.5 * (a + b)
-            if signs[i]:
-                start = crossing
-            else:
-                intervals.append((start if start is not None else 0.0, crossing))
-                start = None
-        if start is not None:
-            intervals.append((start, r_max))
-        return _superlevel_mass(params, intervals)
-
-    coarse = integrate(dr)
-    fine = integrate(0.5 * dr)
+        grid = np.concatenate(([0.0], (np.arange(n_steps) + 0.5) * step))
+        grids.append(grid)
+        signs.append(indicator(grid))
+    flips = [np.flatnonzero(s[1:] != s[:-1]) for s in signs]
+    crossings = _bisect(
+        np.concatenate([g[i] for g, i in zip(grids, flips)]),
+        np.concatenate([g[i + 1] for g, i in zip(grids, flips)]),
+        indicator,
+        np.concatenate([s[i] for s, i in zip(signs, flips)]),
+        60,
+    ).tolist()
+    n_coarse = flips[0].size
+    masses = []
+    for s, cuts in zip(signs, (crossings[:n_coarse], crossings[n_coarse:])):
+        edges = ([0.0] if s[0] else []) + cuts + ([r_max] if s[-1] else [])
+        masses.append(_superlevel_mass(params, edges))
+    coarse, fine = masses
     if abs(fine - coarse) > 1e-3:
         raise AccuracyError(
             f"radial step {dr:.6g} too coarse: halving moved the result by "

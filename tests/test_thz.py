@@ -7,6 +7,7 @@ import pytest
 from metarel import thz
 from metarel._rng import derive_rng
 from metarel.errors import (
+    AccuracyError,
     ConfigurationError,
     DomainError,
     IngestError,
@@ -19,6 +20,20 @@ from metarel.stochgeom import sample_rician_power
 TABLE_MONO = thz.synthetic_monotone_table(335e9, 380e9, 0.8, 3.0)
 TABLE_VALLEY = thz.synthetic_valley_table(335e9, 380e9, 0.30, 0.04, 0.42, f_min=352e9)
 COEFFS99 = thz.default_marcum_coeffs(2.0)
+# the valley and bandwidth-sweep tables of the benchmark's thz-sweep workload
+TABLE_BENCH_VALLEY = thz.synthetic_valley_table(335e9, 380e9, 2.2, 0.15, 2.8, n=31)
+TABLE_BENCH_SWEEP = thz.synthetic_valley_table(
+    325e9, 380e9, 2.2, 0.15, 2.8, f_min=348e9, n=31
+)
+FIG6_PARAMS = thz.ThzParams(m_shape=1, q_override=1.0, c1_override=0.01 / 375e9**2)
+COEFFS_FIG6 = calibrate_marcum_coeffs(2.0, 0.3, 0.7)
+# k(f) falls linearly over 340-360 GHz, so g(.; r) rises, falls and rises
+# again near r = 9.5 m: three threshold crossings, or a hump that starts
+# below the threshold when the band ends at 360 GHz
+TABLE_HUMP = thz.AbsorptionTable(
+    frequency_hz=np.array([335e9, 340e9, 360e9, 375e9, 380e9]),
+    k_per_m=np.array([0.0145, 0.012, 0.0, 0.05, 0.06]),
+)
 
 
 def flat_table(k: float, f_lo=300e9, f_hi=400e9) -> thz.AbsorptionTable:
@@ -187,6 +202,20 @@ class TestCarrierDistribution:
                 f0 = thz.carrier_cdf_inverse(p, prm)
                 assert thz.carrier_cdf(f0, prm) == pytest.approx(p, abs=1e-9)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_inverse_matches_full_bisection(self, m):
+        # the early stop must return what all 100 bisection steps return
+        prm = thz.ThzParams(m_shape=m)
+        for p in (0.0, 1e-9, 0.05, 0.3, 0.5, 0.9, 1.0 - 1e-9, 1.0):
+            a, b = prm.band()
+            for _ in range(100):
+                mid = 0.5 * (a + b)
+                if thz.carrier_cdf(mid, prm) < p:
+                    a = mid
+                else:
+                    b = mid
+            assert thz.carrier_cdf_inverse(p, prm) == 0.5 * (a + b)
+
     def test_sampler_matches_cdf(self):
         prm = thz.ThzParams(m_shape=2)
         draws = np.sort(thz.sample_carrier(derive_rng(41), prm, 100_000))
@@ -263,6 +292,16 @@ class TestScenario1:
     def test_scenario_error_on_valley(self):
         with pytest.raises(ScenarioError):
             thz.f_tilde_scenario1(5.0, 1e15, thz.ThzParams(), TABLE_VALLEY)
+
+    def test_root_matches_piecewise_bisection(self):
+        # a monotone table is also a valley: bisecting the whole band and
+        # bisecting the one knot segment that holds the root agree exactly
+        prm = thz.ThzParams()
+        for r in (1.0, 12.0, 40.0):
+            for f in (341e9, 357e9, 374e9):
+                p1t = thz.attenuation_metric(f, r, TABLE_MONO)
+                root = thz.f_tilde_scenario1(r, p1t, prm, TABLE_MONO)
+                assert (root,) == thz.roots_scenario2(r, p1t, prm, TABLE_MONO)
 
     def test_uniform_carrier_quantile_is_linear(self):
         prm = thz.ThzParams(m_shape=0)
@@ -367,6 +406,97 @@ class TestScenario2:
     def test_dr_validation(self):
         with pytest.raises(DomainError):
             thz.r2_scenario2(0.9, 0.5, thz.ThzParams(), TABLE_VALLEY, dr=-1.0)
+        with pytest.raises(DomainError):
+            thz.r2_scenario2(0.9, 1.5, thz.ThzParams(), TABLE_VALLEY)
+
+    # Values of the scalar engine (one Python bisection per radius and
+    # root) that the array engine replaced, on the tables above.
+    @pytest.mark.parametrize(
+        "params, table, coeffs, p1, p2, want",
+        [
+            (FIG6_PARAMS, TABLE_VALLEY, COEFFS_FIG6, 0.5, 0.3, 0.2584638772050173),
+            (FIG6_PARAMS, TABLE_VALLEY, COEFFS_FIG6, 0.5, 0.7, 0.19617620234201294),
+            (FIG6_PARAMS, TABLE_VALLEY, COEFFS_FIG6, 0.7, 0.5, 0.16310472459822334),
+            (thz.ThzParams(), TABLE_VALLEY, COEFFS99, 0.99, 0.7, 0.999997910296114),
+            (thz.ThzParams(), TABLE_MONO, COEFFS99, 0.99, 0.3, 0.30371100284875063),
+            (thz.ThzParams(), TABLE_MONO, COEFFS99, 0.99, 0.7, 0.15576500613326627),
+            (thz.ThzParams(), TABLE_BENCH_VALLEY, COEFFS99, 0.99, 0.4, 0.9230764465760837),
+            (thz.ThzParams(), TABLE_BENCH_VALLEY, COEFFS99, 0.9, 0.7, 0.6196684427591136),
+            (thz.ThzParams(f_low_hz=330e9, f_high_hz=340e9), TABLE_BENCH_SWEEP,
+             COEFFS99, 0.99, 0.5, 0.5271228335671299),
+            (thz.ThzParams(f_low_hz=330e9, f_high_hz=340e9), TABLE_BENCH_SWEEP,
+             COEFFS99, 0.9, 0.3, 0.8119418080058176),
+            (thz.ThzParams(f_low_hz=330e9, f_high_hz=355e9), TABLE_BENCH_SWEEP,
+             COEFFS99, 0.99, 0.5, 0.9870224274560455),
+            (thz.ThzParams(f_low_hz=330e9, f_high_hz=355e9), TABLE_BENCH_SWEEP,
+             COEFFS99, 0.9, 0.3, 0.9999905077074689),
+        ],
+    )
+    def test_radial_engine_recorded_values(self, params, table, coeffs, p1, p2, want):
+        got = thz.r2_scenario2(p1, p2, params, table, approx=coeffs)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_array_core_matches_scalar_wrappers(self):
+        prm = thz.ThzParams(m_shape=1)
+        knots, slopes = thz._valley_band(prm, TABLE_VALLEY)
+        radii = np.concatenate(([0.0], np.linspace(0.5, 80.0, 40)))
+        g = thz.attenuation_metric(
+            np.linspace(prm.f_low_hz, prm.f_high_hz, 2001), 25.0, TABLE_VALLEY
+        )
+        for p1t in (math.sqrt(float(np.min(g)) * float(g[0])), float(g[-1])):
+            roots, count, _ = thz._crossings(radii, p1t, TABLE_VALLEY, knots, slopes)
+            assert set(count.tolist()) == {0, 1, 2}
+            p2 = thz._p2_radii(radii, p1t, prm, TABLE_VALLEY, knots, slopes)
+            for i, r in enumerate(radii.tolist()):
+                assert p2[i] == thz.p2_scenario2(r, p1t, prm, TABLE_VALLEY)
+                assert tuple(roots[i, : count[i]].tolist()) == thz.roots_scenario2(
+                    r, p1t, prm, TABLE_VALLEY
+                )
+
+    def test_non_valley_table_is_a_scenario_error(self):
+        w_shape = thz.AbsorptionTable(
+            frequency_hz=np.array([335e9, 350e9, 360e9, 380e9]),
+            k_per_m=np.array([0.1, 0.3, 0.1, 0.3]),
+        )
+        prm = thz.ThzParams()
+        for call in (
+            lambda: thz.r2_scenario2(0.99, 0.5, prm, w_shape, approx=COEFFS99),
+            lambda: thz.roots_scenario2(5.0, 1e12, prm, w_shape),
+            lambda: thz.p2_scenario2(5.0, 1e12, prm, w_shape),
+        ):
+            with pytest.raises(ScenarioError, match="not valley-shaped"):
+                call()
+
+    def test_crossing_count_guards(self):
+        k = thz.ThzParams().rician_k
+        base = (-math.log(0.5) / math.exp(COEFFS99.nu)) ** (1.0 / COEFFS99.mu)
+        # (target, band top, radius, error): three crossings, then a hump
+        # that starts below the threshold at the lower band edge
+        for p1t, f_high, r, match in (
+            (3.4203e12, 375e9, 9.5, "3 threshold crossings"),
+            (3.4579e12, 360e9, 9.6, "event true at the band edge"),
+        ):
+            # c1 chosen so that p1 = 0.5 maps onto the target p1_tilde
+            prm = thz.ThzParams(
+                q_override=1.0,
+                c1_override=(base / p1t) ** 2 / (2.0 * (k + 1.0)),
+                f_high_hz=f_high,
+            )
+            assert thz.p1_tilde(0.5, prm, COEFFS99) == pytest.approx(p1t, rel=1e-12)
+            with pytest.raises(ScenarioError, match=match):
+                thz.p2_scenario2(r, p1t, prm, TABLE_HUMP)
+            with pytest.raises(ScenarioError, match=match):
+                thz.r2_scenario2(0.5, 0.5, prm, TABLE_HUMP, approx=COEFFS99)
+        assert len(thz.roots_scenario2(9.6, 3.4579e12, prm, TABLE_HUMP)) == 2
+
+    def test_coarse_step_is_an_accuracy_error(self):
+        # the tail cut-off falls just past r*, so a coarse grid whose last
+        # point lies before r* misses the flip that the halved grid finds
+        with pytest.raises(AccuracyError):
+            thz.r2_scenario2(
+                0.99, 0.4, thz.ThzParams(), TABLE_BENCH_VALLEY,
+                dr=5.0, approx=COEFFS99, tail_mass=0.074,
+            )
 
     def test_refinement_is_step_insensitive(self):
         prm = thz.ThzParams()
