@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -45,51 +44,24 @@ THZ_AXES = ("p1", "p2", "bw")
 METHODS = ("closed_form", "monte_carlo", "both")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept axis over a grid, everything else fixed."""
-
-    model: str  # "canonical" or "thz"
-    method: str
-    axis: str
-    grid: tuple[float, ...]
-    fixed: dict
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.model not in ("canonical", "thz", "bandwidth"):
-            raise UsageError(f"unknown model {self.model!r}")
-        if self.method not in METHODS:
-            raise UsageError(f"method must be one of {METHODS}")
-        if self.fmt not in ("csv", "json"):
-            raise UsageError("format must be csv or json")
-        grid = tuple(float(g) for g in self.grid)
-        if len(grid) < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise UsageError("sweep grid must be non-empty and strictly ascending")
-        object.__setattr__(self, "grid", grid)
-
-    def hash(self) -> str:
-        payload = json.dumps(
-            {
-                "model": self.model,
-                "method": self.method,
-                "axis": self.axis,
-                "grid": list(self.grid),
-                "fixed": {k: self.fixed[k] for k in sorted(self.fixed)},
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def _spec_hash(model: str, method: str, axis: str, grid, fixed: dict) -> str:
+    """Short digest of one swept axis over a grid, everything else fixed."""
+    payload = json.dumps(
+        {
+            "model": model,
+            "method": method,
+            "axis": axis,
+            "grid": list(grid),
+            "fixed": {k: fixed[k] for k in sorted(fixed)},
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass
 class RunRecord:
-    """A completed sweep: metadata plus per-point results.
-
-    ``wall_time_s`` is in-memory diagnostics only; it is never serialized so
-    identical (spec, seed) runs produce byte-identical files.
-    """
+    """A completed sweep: metadata plus per-point results."""
 
     spec_hash: str
     seed: Optional[int]
@@ -97,7 +69,6 @@ class RunRecord:
     columns: tuple[str, ...]
     rows: list[tuple]
     meta: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
 
     def to_csv(self) -> str:
         lines = [f"# schema={SCHEMA_VERSION}"]
@@ -138,8 +109,14 @@ def _cell(v) -> str:
 
 def read_run_record(path: str) -> RunRecord:
     """Re-parse an emitted CSV or JSON file into a RunRecord."""
-    with open(path, "r") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r") as fh:
+            return _parse_run_record(fh.read())
+    except (OSError, ValueError, KeyError, IndexError, TypeError) as exc:
+        raise IngestError(f"cannot read run record {path}: {exc}") from exc
+
+
+def _parse_run_record(text: str) -> RunRecord:
     if text.lstrip().startswith("{"):
         payload = json.loads(text)
         columns = tuple(payload["columns"])
@@ -197,12 +174,21 @@ def read_run_record(path: str) -> RunRecord:
     )
 
 
-def _emit(record: RunRecord, out: Optional[str], fmt: str) -> None:
-    text = record.to_csv() if fmt == "csv" else record.to_json()
-    if out:
-        with open(out, "w", newline="") as fh:
+def _emit(args, spec_hash: str, columns, rows: list[tuple], meta: dict) -> None:
+    """Write one sweep as a RunRecord to ``--out`` (default stdout) in ``--format``."""
+    record = RunRecord(
+        spec_hash=spec_hash,
+        seed=args.seed,
+        version=__version__,
+        columns=tuple(columns),
+        rows=rows,
+        meta=meta,
+    )
+    text = record.to_csv() if args.format == "csv" else record.to_json()
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
@@ -225,7 +211,7 @@ def load_config(path: str) -> dict[str, str]:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read config {path}: {exc}") from exc
     return values
 
@@ -256,22 +242,35 @@ def _inject_config(argv: list[str]) -> list[str]:
     return argv + injected
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    """Grid syntax: comma list `a,b,c` or range `start:stop:count`."""
+def _numbers(flag: str, cells, kind=float) -> tuple:
+    """Entries of a list-valued flag converted by ``kind``; a malformed one is a usage error."""
+    try:
+        return tuple(kind(c) for c in cells)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
+def _parse_grid(flag: str, text: str) -> tuple[float, ...]:
+    """Grid syntax: comma list `a,b,c` or range `start:stop:count`, ascending."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise UsageError("range grid must be start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _numbers(flag, parts[:2])
+        (count,) = _numbers(flag, parts[2:], int)
         if count < 1:
             raise UsageError("grid count must be >= 1")
-        return tuple(np.linspace(start, stop, count))
-    return tuple(float(x) for x in text.split(","))
+        grid = tuple(np.linspace(start, stop, count).tolist())
+    else:
+        grid = _numbers(flag, text.split(","))
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise UsageError("sweep grid must be strictly ascending")
+    return grid
 
 
 def _parse_trials(text: str, n: int) -> tuple[int, ...]:
-    parts = tuple(int(x) for x in text.split(","))
+    parts = _numbers("--trials", text.split(","), int)
     if len(parts) != n or any(p < 1 for p in parts):
         raise UsageError(f"--trials must be {n} positive integers N0,..,N{n-1}")
     return parts
@@ -304,14 +303,13 @@ def _canonical_params(args) -> can.CanonicalParams:
 
 
 def cmd_canonical(args) -> int:
-    t0 = time.perf_counter()
-    grid = _parse_grid(args.grid)
-    spec = SweepSpec(
-        model="canonical",
-        method=args.method,
-        axis=args.axis,
-        grid=grid,
-        fixed={
+    grid = _parse_grid("--grid", args.grid)
+    spec_hash = _spec_hash(
+        "canonical",
+        args.method,
+        args.axis,
+        grid,
+        {
             "alpha": args.alpha,
             "zeta": args.zeta,
             "q": args.q,
@@ -324,8 +322,6 @@ def cmd_canonical(args) -> int:
             "intensity": args.intensity,
             "trials": args.trials,
         },
-        out=args.out,
-        fmt=args.format,
     )
     params = _canonical_params(args)
     q = params.qos()
@@ -394,30 +390,20 @@ def cmd_canonical(args) -> int:
     }
     if mc_notice:
         meta["notice"] = mc_notice
-    record = RunRecord(
-        spec_hash=spec.hash(),
-        seed=args.seed,
-        version=__version__,
-        columns=tuple(columns),
-        rows=rows,
-        meta=meta,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _emit(record, args.out, args.format)
+    _emit(args, spec_hash, columns, rows, meta)
     return 0
 
 
 def cmd_bandwidth(args) -> int:
-    t0 = time.perf_counter()
-    targets = _parse_grid(args.targets)
+    targets = _parse_grid("--targets", args.targets)
     if any(not 0.0 < t < 1.0 for t in targets):
         raise UsageError("targets must lie strictly inside (0, 1)")
-    spec = SweepSpec(
-        model="bandwidth",
-        method="closed_form",
-        axis="target",
-        grid=targets,
-        fixed={
+    spec_hash = _spec_hash(
+        "bandwidth",
+        "closed_form",
+        "target",
+        targets,
+        {
             "alpha": args.alpha,
             "zeta": args.zeta,
             "l": args.l,
@@ -429,8 +415,6 @@ def cmd_bandwidth(args) -> int:
             "w_low": args.w_low,
             "w_high": args.w_high,
         },
-        out=args.out,
-        fmt=args.format,
     )
     params = can.CanonicalParams(
         intensity=args.intensity,
@@ -441,7 +425,7 @@ def cmd_bandwidth(args) -> int:
         deadline_s=args.tth,
         mode=args.mode,
     )
-    orders = tuple(int(o) for o in args.orders.split(","))
+    orders = _numbers("--orders", args.orders.split(","), int)
     if any(o not in (0, 1, 2) for o in orders):
         raise UsageError("orders must be a comma list drawn from 0,1,2")
     columns = ["target"] + [f"W_order{o}_hz" for o in orders]
@@ -455,20 +439,12 @@ def cmd_bandwidth(args) -> int:
                 )
             )
         rows.append(tuple(row))
-    record = RunRecord(
-        spec_hash=spec.hash(),
-        seed=args.seed,
-        version=__version__,
-        columns=tuple(columns),
-        rows=rows,
-        meta={
-            "command": "bandwidth",
-            "mode": args.mode,
-            "units": "target dimensionless; W columns in Hz",
-        },
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _emit(record, args.out, args.format)
+    meta = {
+        "command": "bandwidth",
+        "mode": args.mode,
+        "units": "target dimensionless; W columns in Hz",
+    }
+    _emit(args, spec_hash, columns, rows, meta)
     return 0
 
 
@@ -497,14 +473,13 @@ def _thz_table(args, params: thz.ThzParams) -> thz.AbsorptionTable:
 
 
 def cmd_thz(args) -> int:
-    t0 = time.perf_counter()
-    grid = _parse_grid(args.grid)
-    spec = SweepSpec(
-        model="thz",
-        method=args.method,
-        axis=args.axis,
-        grid=grid,
-        fixed={
+    grid = _parse_grid("--grid", args.grid)
+    spec_hash = _spec_hash(
+        "thz",
+        args.method,
+        args.axis,
+        grid,
+        {
             "m": args.m,
             "scenario": args.scenario,
             "p1": args.p1,
@@ -518,9 +493,19 @@ def cmd_thz(args) -> int:
             "table": args.absorption_table or "<builtin>",
             "trials": args.trials,
         },
-        out=args.out,
-        fmt=args.format,
     )
+    anchors = _numbers("--anchors", args.anchors.split(","))
+    if len(anchors) != 2:
+        raise UsageError("--anchors must be two probabilities p_lo,p_hi")
+    want_mc = args.method in ("monte_carlo", "both")
+    if want_mc and args.axis == "bw":
+        raise UsageError("the bw axis has no Monte Carlo estimate; use --method closed_form")
+    if want_mc and not args.force and max(grid if args.axis == "p1" else [args.p1]) >= EXTREME_P1:
+        raise UsageError(
+            f"Monte Carlo at p1 >= {EXTREME_P1} needs prohibitive trial "
+            "counts; use the numeric engines or pass --force"
+        )
+    trials = _parse_trials(args.trials, 3) if want_mc else None
     params = thz.ThzParams(
         f_low_hz=args.f_low,
         f_high_hz=args.f_high,
@@ -530,27 +515,10 @@ def cmd_thz(args) -> int:
         c1_override=args.c1,
     )
     table = _thz_table(args, params)
-    anchors = tuple(float(x) for x in args.anchors.split(","))
-    if len(anchors) != 2:
-        raise UsageError("--anchors must be two probabilities p_lo,p_hi")
     coeffs = calibrate_marcum_coeffs(
         math.sqrt(2.0 * params.rician_k), anchors[0], anchors[1]
     )
-
-    def closed_value(p1: float, p2: float, prm: thz.ThzParams) -> float:
-        if args.scenario == 1:
-            return thz.r2_scenario1(p1, p2, prm, table, approx=coeffs)
-        return thz.r2_scenario2(p1, p2, prm, table, approx=coeffs)
-
-    want_mc = args.method in ("monte_carlo", "both")
-    if want_mc and args.axis != "bw" and max(
-        grid if args.axis == "p1" else [args.p1]
-    ) >= EXTREME_P1:
-        if not args.force:
-            raise UsageError(
-                f"Monte Carlo at p1 >= {EXTREME_P1} needs prohibitive trial "
-                "counts; use the numeric engines or pass --force"
-            )
+    closed_value = thz.r2_scenario1 if args.scenario == 1 else thz.r2_scenario2
 
     columns = ["axis", "R"]
     rows = []
@@ -564,7 +532,6 @@ def cmd_thz(args) -> int:
     else:
         mc_grid = None
         if want_mc:
-            trials = _parse_trials(args.trials, 3)
             p1s = grid if args.axis == "p1" else (args.p1,)
             p2s = grid if args.axis == "p2" else (args.p2,)
             mc_grid = thz.run_thz_mc_grid(params, table, p1s, p2s, trials, args.seed)
@@ -572,27 +539,19 @@ def cmd_thz(args) -> int:
         for g in grid:
             p1 = g if args.axis == "p1" else args.p1
             p2 = g if args.axis == "p2" else args.p2
-            row = [g, closed_value(p1, p2, params)]
+            row = [g, closed_value(p1, p2, params, table, approx=coeffs)]
             if mc_grid is not None:
                 i = mc_grid.p1_grid.index(p1)
                 j = mc_grid.p2_grid.index(p2)
                 row += [float(mc_grid.values[i, j]), float(mc_grid.stderr[i, j])]
             rows.append(tuple(row))
-    record = RunRecord(
-        spec_hash=spec.hash(),
-        seed=args.seed,
-        version=__version__,
-        columns=tuple(columns),
-        rows=rows,
-        meta={
-            "command": "thz",
-            "axis": args.axis,
-            "scenario": args.scenario,
-            "units": "axis dimensionless (bw in Hz); reliabilities dimensionless",
-        },
-        wall_time_s=time.perf_counter() - t0,
-    )
-    _emit(record, args.out, args.format)
+    meta = {
+        "command": "thz",
+        "axis": args.axis,
+        "scenario": args.scenario,
+        "units": "axis dimensionless (bw in Hz); reliabilities dimensionless",
+    }
+    _emit(args, spec_hash, columns, rows, meta)
     return 0
 
 
@@ -617,7 +576,7 @@ def cmd_validate(args) -> int:
     if args.absorption_table is not None:
         try:
             thz.load_absorption_table(args.absorption_table)
-        except (OSError, IngestError) as exc:
+        except IngestError as exc:
             skip_thz = True
             skip_reason = f"absorption table unusable ({exc}); THz checks skipped"
             print(f"warning: {skip_reason}", file=sys.stderr)

@@ -43,7 +43,6 @@ __all__ = [
     "DEFAULT_ANCHORS",
     "ThzParams",
     "AbsorptionTable",
-    "DerivedConstants",
     "load_absorption_table",
     "synthetic_monotone_table",
     "synthetic_valley_table",
@@ -51,11 +50,9 @@ __all__ = [
     "p1_thz",
     "carrier_pdf",
     "carrier_cdf",
-    "carrier_cdf_coeffs",
     "carrier_cdf_inverse",
     "sample_carrier",
     "default_marcum_coeffs",
-    "derive_constants",
     "p1_tilde",
     "attenuation_metric",
     "f_tilde_scenario1",
@@ -217,8 +214,11 @@ def load_absorption_table(source) -> AbsorptionTable:
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", newline="") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", newline="") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IngestError(f"cannot read absorption table {source}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows:
@@ -337,8 +337,9 @@ def carrier_cdf(f, params: ThzParams):
 
     For integer m the regularized incomplete beta function reduces to a
     binomial tail, sum_{j=m+1}^{2m+1} C(2m+1, j) u^j (1-u)^(2m+1-j), whose
-    terms are all positive; this stays accurate for every m, unlike the
-    signed power-series expansion (see :func:`carrier_cdf_coeffs`).
+    terms are all positive; this stays accurate for every m, unlike a
+    power-series expansion of the density, whose signed terms cancel
+    catastrophically for large m.
     """
     f_in = np.asarray(f, dtype=float)
     lo, hi = params.band()
@@ -365,25 +366,6 @@ def carrier_cdf(f, params: ThzParams):
             acc += np.exp(log_c + j * log_u + (n_tot - j) * log_1mu)
         out[interior] = np.minimum(acc, 1.0)
     return float(out[0]) if f_in.ndim == 0 else out
-
-
-def carrier_cdf_coeffs(params: ThzParams) -> np.ndarray:
-    """Power-series CDF coefficients in the normalized variable u.
-
-    Expanding the density u^m (1-u)^m / B(m+1, m+1) binomially gives the
-    CDF sum_n coeffs[n] * u^n (no constant term; the normalization anchors
-    the value 1 at the upper band edge).  The signed terms cancel
-    catastrophically for large m, so this path is intended for small m.
-    """
-    m = params.m_shape
-    lbeta = math.lgamma(m + 1.0) * 2.0 - math.lgamma(2.0 * m + 2.0)
-    inv_beta = math.exp(-lbeta)
-    coeffs = np.zeros(2 * m + 2)
-    for j in range(m + 1):
-        binom = math.comb(m, j)
-        power = m + j + 1  # integral of u^(m+j)
-        coeffs[power] = (-1.0) ** j * binom * inv_beta / power
-    return coeffs
 
 
 def carrier_cdf_inverse(p: float, params: ThzParams) -> float:
@@ -418,25 +400,8 @@ def sample_carrier(rng: np.random.Generator, params: ThzParams, size=None):
 
 
 # ---------------------------------------------------------------------------
-# Derived constants and the approximation-path threshold
+# Marcum coefficients and the approximation-path threshold
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Composites fixed by (params, p1): recomputed whenever either changes."""
-
-    c1: float
-    c2: float
-    q: float
-    p1_tilde: float
-    approx: MarcumApproxCoeffs
-
-    def __post_init__(self) -> None:
-        for name in ("c1", "c2", "q", "p1_tilde"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be finite and positive")
 
 
 @lru_cache(maxsize=64)
@@ -457,21 +422,13 @@ def p1_tilde(
     """
     if not 0.0 < p1 < 1.0:
         raise DomainError("p1 must lie strictly in (0, 1)")
-    return (-math.log(p1) / math.exp(approx.nu)) ** (1.0 / approx.mu) / _c2(params)
-
-
-def derive_constants(
-    params: ThzParams, p1: float, approx: Optional[MarcumApproxCoeffs] = None
-) -> DerivedConstants:
-    if approx is None:
-        approx = default_marcum_coeffs(params.rician_k)
-    return DerivedConstants(
-        c1=params.c1(),
-        c2=_c2(params),
-        q=params.qos(),
-        p1_tilde=p1_tilde(p1, params, approx),
-        approx=approx,
-    )
+    c2 = _c2(params)
+    if not (math.isfinite(c2) and c2 > 0.0):
+        raise DomainError("c2 must be finite and positive")
+    value = (-math.log(p1) / math.exp(approx.nu)) ** (1.0 / approx.mu) / c2
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError("p1_tilde must be finite and positive")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +623,13 @@ def r2_scenario1(
     lo, hi = params.band()
     if not table.is_monotone_nondecreasing(lo, hi):
         raise ScenarioError("k(f) must be monotone non-decreasing for scenario 1")
-    consts = derive_constants(params, p1, approx)
+    p1t = p1_tilde(p1, params, approx or default_marcum_coeffs(params.rician_k))
     f0 = carrier_cdf_inverse(p2, params)
     kf0 = table.k_at(f0)
     if kf0 <= 1e-300:
-        r0 = consts.p1_tilde / f0
+        r0 = p1t / f0
     else:
-        r0 = 2.0 / kf0 * lambert_w0(0.5 * kf0 * consts.p1_tilde / f0)
+        r0 = 2.0 / kf0 * lambert_w0(0.5 * kf0 * p1t / f0)
     return -math.expm1(-params.intensity * math.pi * r0 * r0)
 
 
@@ -754,11 +711,11 @@ def r2_scenario2(
         dr = 0.05 / math.sqrt(lam_pi)
     if dr <= 0.0:
         raise DomainError("dr must be positive")
-    consts = derive_constants(params, p1, approx)
+    p1t = p1_tilde(p1, params, approx or default_marcum_coeffs(params.rician_k))
     r_max = math.sqrt(-math.log(tail_mass) / lam_pi)
 
     def indicator(r: np.ndarray) -> np.ndarray:
-        return _p2_radii(r, consts.p1_tilde, params, table, knots, slopes) > p2
+        return _p2_radii(r, p1t, params, table, knots, slopes) > p2
 
     grids, signs = [], []
     for step in (dr, 0.5 * dr):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -22,6 +23,24 @@ def thz_argv(*extra):
     return ["thz", "--seed", "7", *extra]
 
 
+def canonical_argv(*extra):
+    return ["canonical", "--seed", "1", "--axis", "p2", "--p1", "0.8", "--q", "1", *extra]
+
+
+def bandwidth_argv(*extra):
+    return ["bandwidth", "--seed", "1", "--p1", "0.9", "--p2", "0.6", *extra]
+
+
+def run_cli(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_one_line_error(err, prefix):
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -32,6 +51,39 @@ def thz_argv(*extra):
 )
 def test_domain_and_usage_errors_exit_2(argv):
     assert cli.main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        canonical_argv("--grid", "a,b"),
+        canonical_argv("--grid", "0.1:x:3"),
+        canonical_argv("--grid", "0.1:0.9:2.5"),
+        canonical_argv("--grid", "0.5", "--method", "monte_carlo", "--trials", "10,x,10"),
+        bandwidth_argv("--targets", "0.5,y"),
+        bandwidth_argv("--targets", "0.5", "--orders", "x"),
+        thz_argv("--axis", "p2", "--grid", "0.5", "--anchors", "a,b"),
+        thz_argv("--axis", "p2", "--grid", "0.5", "--method", "both", "--trials", "10,x,10"),
+        thz_argv("--axis", "bw", "--grid", "5e8,1e9", "--method", "monte_carlo"),
+        thz_argv("--axis", "bw", "--grid", "5e8,1e9", "--method", "both"),
+    ],
+    ids=["grid-list", "grid-range", "grid-count", "canonical-trials", "targets", "orders",
+         "anchors", "thz-trials", "bw-monte-carlo", "bw-both"],
+)
+def test_malformed_flags_exit_2(argv, capsys):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "usage error: ")
+
+
+def test_underflowing_qos_exits_2(tmp_path, capsys):
+    path = tmp_path / "mono.csv"
+    thz.synthetic_monotone_table(335e9, 380e9, 0.8, 3.0).save_csv(path)
+    argv = thz_argv("--axis", "p2", "--grid", "0.5", "--q", "1e-300",
+                    "--absorption-table", str(path))
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert_one_line_error(err, "usage error: ")
 
 
 def test_scenario_error_exits_3(valley_csv):
@@ -46,6 +98,67 @@ def test_malformed_table_exits_4(tmp_path):
     argv = thz_argv("--scenario", "2", "--axis", "p2", "--grid", "0.5",
                     "--absorption-table", str(path))
     assert cli.main(argv) == 4
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bad.json", '{"columns": ["axis"], "data": '),
+        ("bad.csv", "axis,R_mc\n0.5,abc\n"),
+        ("missing.csv", None),
+    ],
+    ids=["json", "csv-cell", "missing"],
+)
+def test_unreadable_run_record_exits_4(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    code, _, err = run_cli(capsys, ["reduce-order", "--input", str(path)])
+    assert code == 4
+    assert_one_line_error(err, "ingest error: ")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("flag", ["--absorption-table", "--config"])
+def test_unreadable_input_file_exits_4(tmp_path, capsys, flag, content):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_bytes(content)
+    argv = thz_argv("--axis", "p2", "--grid", "0.5", flag, str(path))
+    code, _, err = run_cli(capsys, argv)
+    assert code == 4
+    assert_one_line_error(err, "ingest error: ")
+
+
+# spec_hash and the sha256 of stdout for one sweep per command: any change
+# to the emitted bytes, including the hash payload, shows here
+@pytest.mark.parametrize(
+    "argv, spec_hash, digest",
+    [
+        (
+            canonical_argv("--method", "both", "--grid", "0.3,0.5,0.8", "--zeta", "0.5",
+                           "--trials", "200,20,200"),
+            "08df42c88d76d95c",
+            "0a4874f40e40270013c5bd562e4a5e5a3cd74ccda1eed4340ce5cac027be5884",
+        ),
+        (
+            bandwidth_argv("--targets", "0.3,0.6,0.9", "--zeta", "0.5", "--w-low", "3e4"),
+            "2af70e149205914f",
+            "14ba0cdec173c526586f2896fb21c0f67b9dc7ff3f3c868aa65dd59e50619a61",
+        ),
+        (
+            thz_argv("--scenario", "1", "--axis", "p2", "--grid", "0.3,0.5,0.7"),
+            "8c12f34189e0188e",
+            "220ba0e63c51c7313f9a232da07adfa7fd46463d95f239ede399c70c178cfaa9",
+        ),
+    ],
+    ids=["canonical-both", "bandwidth", "thz-scenario1"],
+)
+def test_sweep_output_is_pinned(argv, spec_hash, digest, capsys):
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert f"# spec_hash={spec_hash}\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _scenario2_sweep(table: str, out, fmt: str = "csv") -> str:

@@ -174,15 +174,6 @@ class TestCarrierDistribution:
         assert thz.carrier_cdf(prm.f_high_hz, prm) == 1.0
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 8])
-    def test_coefficient_path_matches_stable_cdf(self, m):
-        prm = thz.ThzParams(m_shape=m)
-        coeffs = thz.carrier_cdf_coeffs(prm)
-        for u in np.linspace(0.0, 1.0, 21):
-            poly = float(np.polyval(coeffs[::-1], u))
-            f = prm.f_low_hz + u * (prm.f_high_hz - prm.f_low_hz)
-            assert poly == pytest.approx(thz.carrier_cdf(f, prm), abs=1e-8)
-
-    @pytest.mark.parametrize("m", [0, 1, 3])
     def test_cdf_matches_quadrature(self, m):
         prm = thz.ThzParams(m_shape=m)
         fs = np.linspace(prm.f_low_hz, prm.f_high_hz, 200_001)
@@ -261,8 +252,24 @@ class TestDerivedConstants:
         assert abs(b_approx - b_exact) / b_exact < 0.02
 
     def test_constants_positive(self):
-        consts = thz.derive_constants(thz.ThzParams(), 0.99)
-        assert consts.c1 > 0 and consts.c2 > 0 and consts.p1_tilde > 0
+        prm = thz.ThzParams()
+        assert prm.c1() > 0 and prm.qos() > 0 and thz._c2(prm) > 0
+        assert thz.p1_tilde(0.99, prm, thz.default_marcum_coeffs(prm.rician_k)) > 0
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"c1_override": math.inf}, {"q_override": math.inf}, {"q_override": 1e-300}],
+        ids=["c1-inf", "q-inf", "q-underflow"],
+    )
+    @pytest.mark.parametrize("scenario", [1, 2])
+    def test_degenerate_composites_raise_domain_error(self, override, scenario):
+        # q = 1e-300 underflows c2 to 0, which must not reach a division
+        prm = thz.ThzParams(**override)
+        with pytest.raises(DomainError):
+            if scenario == 1:
+                thz.r2_scenario1(0.99, 0.5, prm, TABLE_MONO, approx=COEFFS99)
+            else:
+                thz.r2_scenario2(0.99, 0.5, prm, TABLE_VALLEY, approx=COEFFS99)
 
 
 class TestScenario1:
@@ -313,12 +320,12 @@ class TestScenario1:
     def test_lambert_step_identity(self):
         prm = thz.ThzParams()
         p1, p2 = 0.99, 0.4
-        consts = thz.derive_constants(prm, p1, COEFFS99)
+        p1t = thz.p1_tilde(p1, prm, COEFFS99)
         f0 = thz.carrier_cdf_inverse(p2, prm)
         k0 = TABLE_MONO.k_at(f0)
         from metarel.specfun import lambert_w0
 
-        arg = 0.5 * k0 * consts.p1_tilde / f0
+        arg = 0.5 * k0 * p1t / f0
         w = lambert_w0(arg)
         assert w * math.exp(w) == pytest.approx(arg, rel=1e-10)
         r0 = 2.0 * w / k0
@@ -388,10 +395,10 @@ class TestScenario2:
         r_low = thz.r2_scenario2(0.5, 0.001, prm, TABLE_VALLEY, approx=coeffs)
         # with p2 -> 0 the indicator saturates out to the largest radius where
         # any carrier still meets the threshold
-        consts = thz.derive_constants(prm, 0.5, coeffs)
+        p1t = thz.p1_tilde(0.5, prm, coeffs)
 
         def any_carrier_ok(r):
-            return thz.p2_scenario2(r, consts.p1_tilde, prm, TABLE_VALLEY) > 0.0
+            return thz.p2_scenario2(r, p1t, prm, TABLE_VALLEY) > 0.0
 
         lo, hi = 1.0, 500.0
         for _ in range(80):
@@ -582,15 +589,15 @@ class TestBandwidthSweep:
         rows, _ = thz.optimal_bandwidth_sweep(
             prm, TABLE_MONO, 0.99, 0.5, [5e7], approx=COEFFS99
         )
-        consts = thz.derive_constants(
-            thz.ThzParams(f_low_hz=340e9, f_high_hz=340e9 + 5e7, m_shape=0),
+        p1t = thz.p1_tilde(
             0.99,
+            thz.ThzParams(f_low_hz=340e9, f_high_hz=340e9 + 5e7, m_shape=0),
             COEFFS99,
         )
         lo, hi = 0.1, 400.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if thz.attenuation_metric(340e9, mid, TABLE_MONO) < consts.p1_tilde:
+            if thz.attenuation_metric(340e9, mid, TABLE_MONO) < p1t:
                 lo = mid
             else:
                 hi = mid
