@@ -19,14 +19,13 @@ from scipy.integrate import quad
 
 from .errors import ConfigurationError, DomainError, SearchError
 from .mdcore import LayeredModel, MdEstimate, MdQuery, nested_md_estimate, nested_md_grid
-from .stochgeom import PppConfig, Realization, sample_ordered_distances
+from .stochgeom import PppConfig, sample_ordered_distances
 
 __all__ = [
     "CanonicalParams",
     "GridEstimate",
     "qos_threshold",
     "p1_hat",
-    "sir",
     "conditional_link_success",
     "r2_single_interferer",
     "interference_ratio_expectation",
@@ -116,26 +115,6 @@ def p1_hat(p1: float, q: float, alpha: float) -> float:
     if alpha <= 2.0:
         raise DomainError("alpha must exceed 2")
     return (p1 * q / (1.0 - p1)) ** (1.0 / alpha)
-
-
-def sir(realization: Realization, fadings: Sequence[float], alpha: float) -> float:
-    """SIR of the typical user for one joint fading/mark realization.
-
-    Returns +inf when no mark is active (interference-free); callers treat
-    any finite threshold as met in that case.
-    """
-    if alpha <= 2.0:
-        raise DomainError("alpha must exceed 2")
-    h = np.asarray(fadings, dtype=float)
-    d = realization.distances
-    if h.shape != d.shape:
-        raise DomainError("fadings must match distances in length")
-    active = realization.marks.astype(bool)
-    interference = float(np.sum(h[active] * d[active] ** (-alpha)))
-    signal = float(h[0] * d[0] ** (-alpha))
-    if interference == 0.0:
-        return math.inf
-    return signal / interference
 
 
 def conditional_link_success(

@@ -565,8 +565,12 @@ def cmd_reduce_order(args) -> int:
     pi = record.columns.index(args.p_column)
     vi = record.columns.index(args.value_column)
     curve = [(row[pi], row[vi]) for row in record.rows]
-    value = reduce_order(curve)
-    print(repr(value))
+    if any(type(cell) not in (int, float) for point in curve for cell in point):
+        raise IngestError(
+            f"columns {args.p_column!r} and {args.value_column!r} need a number "
+            f"in every row of {args.input}"
+        )
+    print(repr(float(reduce_order(curve))))
     return 0
 
 

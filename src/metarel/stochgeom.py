@@ -3,8 +3,8 @@
 Ordered nearest-neighbor distances of a homogeneous PPP are generated by
 the radial construction: the squared distances are the arrival times of a
 rate-(lambda*pi) one-dimensional Poisson process, so no simulation window
-or truncation bias enters.  Bernoulli interferer marks and Rayleigh/Rician
-power fading complete the layer samplers.
+or truncation bias enters.  Bernoulli interferer marks and Rician power
+fading (Rayleigh at K = 0) complete the layer samplers.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from .errors import DomainError
 
 __all__ = [
     "PppConfig",
-    "Realization",
     "sample_ordered_distances",
     "nearest_distance_cdf",
     "sample_marks",
-    "sample_rayleigh_power",
     "sample_rician_power",
     "thinned_ratio_sum_mc",
 ]
@@ -43,28 +41,6 @@ class PppConfig:
             raise DomainError("intensity must be finite and positive")
         if self.n_points < 1:
             raise DomainError("n_points must be >= 1")
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Ordered distances plus interferer marks; marks[0] is the serving BS."""
-
-    distances: np.ndarray  # strictly ascending, metres
-    marks: np.ndarray  # 0/1, marks[0] == 0
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.distances, dtype=float)
-        m = np.asarray(self.marks)
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "marks", m)
-        if d.ndim != 1 or m.shape != d.shape:
-            raise DomainError("distances and marks must be 1-d and equal length")
-        if d.size and (d[0] <= 0.0 or np.any(np.diff(d) <= 0.0)):
-            raise DomainError("distances must be strictly ascending and positive")
-        if not np.isin(m, (0, 1)).all():
-            raise DomainError("marks must be 0/1")
-        if m.size and m[0] != 0:
-            raise DomainError("the serving point (index 0) never interferes")
 
 
 def sample_ordered_distances(cfg: PppConfig, rng: np.random.Generator) -> np.ndarray:
@@ -110,11 +86,6 @@ def sample_marks(
         if nz.size > 1:
             marks[nz[1:]] = 0
     return marks
-
-
-def sample_rayleigh_power(rng: np.random.Generator, size=None):
-    """Unit-mean exponential fading power (Rayleigh amplitude squared)."""
-    return rng.standard_exponential(size)
 
 
 def sample_rician_power(K: float, rng: np.random.Generator, size=None):

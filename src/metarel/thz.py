@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import chndtr
 
 from .errors import (
     AccuracyError,
@@ -297,14 +296,13 @@ def _c2(params: ThzParams) -> float:
     return math.sqrt(2.0 * params.c1() * params.qos() * (params.rician_k + 1.0))
 
 
-def p1_thz(f: float, r: float, params: ThzParams, table: AbsorptionTable) -> float:
+def p1_thz(f, r, params: ThzParams, table: AbsorptionTable):
     """Exact fading-layer success probability
-    Q1(sqrt(2K), c2 * f * r * exp(k(f) r / 2)); equals 1 at r = 0."""
-    if r < 0.0:
+    Q1(sqrt(2K), c2 * f * r * exp(k(f) r / 2)) for scalars or broadcastable
+    arrays f and r; equals 1 at r = 0."""
+    if np.any(np.asarray(r) < 0.0):
         raise DomainError("r must be >= 0")
-    if r == 0.0:
-        return 1.0
-    b = _c2(params) * float(f) * r * math.exp(0.5 * table.k_at(float(f)) * r)
+    b = _c2(params) * f * r * np.exp(0.5 * table.k_at(f) * r)
     return marcum_q1(math.sqrt(2.0 * params.rician_k), b)
 
 
@@ -778,22 +776,17 @@ def thz_layered_model(params: ThzParams, table: AbsorptionTable) -> LayeredModel
 def _thz_model(
     params: ThzParams, table: AbsorptionTable, exact_inner: bool
 ) -> LayeredModel:
-    """The THz LayeredModel; ``exact_inner`` adds the exact hook, whose P1 is
-    the Marcum probability of :func:`p1_thz` in vectorized form, the
-    noncentral chi-square ccdf Q1(sqrt(2K), b) = 1 - chndtr(b^2, 2, 2K).
-    (scipy.stats.ncx2.sf is the same function, but importing scipy.stats
-    costs every process about a second and 20 MB.)"""
+    """The THz LayeredModel; ``exact_inner`` adds the exact hook, which draws
+    one carrier frequency per inner trial and returns the Marcum success
+    probability :func:`p1_thz` at it."""
     model = thz_layered_model(params, table)
     if not exact_inner:
         return model
-    c2 = _c2(params)
     sample_freq = model.layers[1]
 
     def exact(rng, above, size):
-        r = above[-1][:, None]
         f = sample_freq(rng, above, size)
-        b = c2 * f * r * np.exp(0.5 * table.k_at(f) * r)
-        return 1.0 - chndtr(np.square(b), 2, 2.0 * params.rician_k)
+        return p1_thz(f, above[-1][:, None], params, table)
 
     return replace(model, exact=exact)
 

@@ -12,7 +12,7 @@ from metarel import canonical as can
 from metarel._rng import derive_rng
 from metarel.errors import ConfigurationError, DomainError, SearchError
 from metarel.mdcore import MdQuery, reduce_order
-from metarel.stochgeom import PppConfig, Realization, sample_ordered_distances
+from metarel.stochgeom import PppConfig, sample_ordered_distances
 
 
 def unit_params(zeta, mode="single_interferer", q=1.0, **kw):
@@ -56,19 +56,15 @@ class TestP1Hat:
 
 class TestSir:
     def test_symmetric_interferer(self):
-        real = Realization(
-            distances=np.array([1.0, 1.0 + 1e-12]), marks=np.array([0, 1])
-        )
-        assert can.sir(real, [1.0, 1.0], 3.5) == pytest.approx(1.0, rel=1e-9)
+        # one equidistant interferer: P(h0 > q h1) = 1 / (1 + q)
+        d = np.array([1.0, 1.0 + 1e-12])
+        success = can.conditional_link_success(d, np.array([0, 1]), 1.0, 3.5)
+        assert success == pytest.approx(0.5, rel=1e-9)
 
     def test_no_interferer_is_infinite(self):
-        real = Realization(distances=np.array([1.0, 2.0]), marks=np.array([0, 0]))
-        assert math.isinf(can.sir(real, [1.0, 1.0], 3.5))
-
-    def test_length_mismatch(self):
-        real = Realization(distances=np.array([1.0, 2.0]), marks=np.array([0, 1]))
-        with pytest.raises(DomainError):
-            can.sir(real, [1.0], 3.5)
+        # no active mark: the SIR is infinite and meets any finite threshold
+        d = np.array([1.0, 2.0])
+        assert can.conditional_link_success(d, np.array([0, 0]), 1e300, 3.5) == 1.0
 
     def test_empirical_success_matches_product_form(self):
         # fixed realization: the fading-averaged success probability is
@@ -78,7 +74,6 @@ class TestSir:
         d = sample_ordered_distances(cfg, rng)
         marks = np.zeros(40, dtype=np.int8)
         marks[1:] = 1
-        real = Realization(distances=d, marks=marks)
         q, alpha, n = 1.0, 3.5, 100_000
         hits = 0
         h = rng.standard_exponential((n, 40))
@@ -88,8 +83,6 @@ class TestSir:
         want = can.conditional_link_success(d, marks, q, alpha)
         sigma = math.sqrt(want * (1.0 - want) / n)
         assert abs(hits / n - want) <= 3.0 * sigma
-        # spot-check the scalar evaluator against the vectorized batch
-        assert can.sir(real, h[0], alpha) == pytest.approx(float(sirs[0]), rel=1e-12)
 
 
 class TestSingleInterfererClosedForm:

@@ -118,6 +118,38 @@ def test_unreadable_run_record_exits_4(tmp_path, capsys, name, text):
     assert_one_line_error(err, "ingest error: ")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reduce_order_prints_a_plain_float(tmp_path, capsys, fmt):
+    path = tmp_path / f"curve.{fmt}"
+    argv = canonical_argv("--grid", "0.3,0.5,0.8", "--zeta", "0.5", "--format", fmt,
+                          "--out", str(path))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, ["reduce-order", "--input", str(path),
+                                    "--value-column", "R_closed_single"])
+    assert code == 0
+    assert out == "0.5519730293839709\n"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("empty.csv", "axis,R_mc\n0.3,\n0.5,0.4\n"),
+        ("null.json", '{"spec_hash": "", "seed": 1, "version": "0.1.0", "columns": ["axis", '
+                      '"R_mc"], "data": {"axis": [0.3, 0.5], "R_mc": [null, 0.4]}}'),
+        ("text.json", '{"spec_hash": "", "seed": 1, "version": "0.1.0", "columns": ["axis", '
+                      '"R_mc"], "data": {"axis": [0.3, 0.5], "R_mc": ["abc", 0.4]}}'),
+    ],
+    ids=["csv-empty", "json-null", "json-text"],
+)
+def test_non_numeric_curve_cell_exits_4(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run_cli(capsys, ["reduce-order", "--input", str(path)])
+    assert code == 4
+    assert_one_line_error(err, "ingest error: ")
+
+
 @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00"], ids=["missing", "not-utf8"])
 @pytest.mark.parametrize("flag", ["--absorption-table", "--config"])
 def test_unreadable_input_file_exits_4(tmp_path, capsys, flag, content):

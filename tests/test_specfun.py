@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metarel.acceptance import _i0e_series_vec
 from metarel.errors import CalibrationError, DomainError
 from metarel.specfun import (
     LS_POLY,
     MarcumApproxCoeffs,
     MarcumPolyCoeffs,
-    bessel_i0,
-    beta_fn,
     calibrate_marcum_coeffs,
     eval_mu_nu,
     lambert_w0,
@@ -34,28 +33,27 @@ def i0_series_oracle(x: float) -> float:
 
 
 class TestBesselI0:
+    # the e^-x I0(x) series inside criterion 10's Simpson oracle for Q1
+
+    @staticmethod
+    def i0(x: float) -> float:
+        return float(_i0e_series_vec(np.array([x]))[0]) * math.exp(x)
+
     def test_zero(self):
-        assert bessel_i0(0.0) == 1.0
+        assert self.i0(0.0) == 1.0
 
     @pytest.mark.parametrize("x", [1.0, 5.0])
     def test_against_series_oracle(self, x):
-        assert bessel_i0(x) == pytest.approx(i0_series_oracle(x), rel=1e-12)
+        assert self.i0(x) == pytest.approx(i0_series_oracle(x), rel=1e-12)
 
     def test_known_values(self):
-        assert bessel_i0(1.0) == pytest.approx(1.26606588, abs=5e-8)
-        assert bessel_i0(5.0) == pytest.approx(27.239872, abs=5e-6)
+        assert self.i0(1.0) == pytest.approx(1.26606588, abs=5e-8)
+        assert self.i0(5.0) == pytest.approx(27.239872, abs=5e-6)
 
     def test_series_agreement_on_range(self):
-        for x in np.linspace(0.0, 20.0, 41):
-            assert bessel_i0(float(x)) == pytest.approx(
-                i0_series_oracle(float(x)), rel=1e-10
-            )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bessel_i0(-1.0)
-        with pytest.raises(DomainError):
-            bessel_i0(float("nan"))
+        xs = np.linspace(0.0, 20.0, 41)
+        want = [i0_series_oracle(float(x)) * math.exp(-float(x)) for x in xs]
+        assert _i0e_series_vec(xs) == pytest.approx(want, rel=1e-10)
 
 
 def marcum_bisection_oracle(a: float, p: float) -> float:
@@ -100,10 +98,24 @@ class TestMarcumQ1:
         with pytest.raises(DomainError):
             marcum_q1(1.0, float("inf"))
 
+    def test_array_matches_scalar_calls(self):
+        a = np.array([0.0, 0.5, 2.0, 2.0, 3.0])
+        b = np.array([1.0, 0.0, 0.5, 2.5, 9.0])
+        got = marcum_q1(a, b)
+        assert isinstance(got, np.ndarray) and got.shape == a.shape
+        assert got.tolist() == [marcum_q1(float(x), float(y)) for x, y in zip(a, b)]
+        assert isinstance(marcum_q1(2.0, 1.0), float)
+        with pytest.raises(DomainError):
+            marcum_q1(a, np.array([1.0, 2.0, -1e-9, 0.5, 1.0]))
+
 
 class TestMarcumInverse:
     def test_a_zero_exact(self):
         assert marcum_q1_inverse_b(0.0, math.exp(-2.0)) == pytest.approx(2.0, abs=1e-9)
+        # Q1(0, b) = exp(-b^2/2), so b* = sqrt(-2 ln p) on both branches
+        for p in (1e-3, 0.3, 0.99, 1.0 - 1e-7):
+            want = math.sqrt(-2.0 * math.log1p(-(1.0 - p)))
+            assert marcum_q1_inverse_b(0.0, p) == pytest.approx(want, rel=1e-9)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(11)
@@ -237,26 +249,3 @@ class TestLambertW:
     def test_domain(self):
         with pytest.raises(DomainError):
             lambert_w0(-0.5)
-
-
-class TestBeta:
-    @pytest.mark.parametrize(
-        "x,y,want", [(1.0, 1.0, 1.0), (2.0, 2.0, 1.0 / 6.0), (3.0, 3.0, 1.0 / 30.0)]
-    )
-    def test_integer_values(self, x, y, want):
-        assert beta_fn(x, y) == pytest.approx(want, rel=1e-12)
-
-    @given(
-        st.floats(min_value=0.05, max_value=50.0),
-        st.floats(min_value=0.05, max_value=50.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_symmetry_and_reduction(self, x, y):
-        assert beta_fn(x, y) == pytest.approx(beta_fn(y, x), rel=1e-10)
-        assert beta_fn(x, 1.0) == pytest.approx(1.0 / x, rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta_fn(0.0, 1.0)
-        with pytest.raises(DomainError):
-            beta_fn(1.0, -2.0)

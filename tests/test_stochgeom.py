@@ -8,11 +8,9 @@ from metarel.errors import DomainError
 from metarel.specfun import marcum_q1
 from metarel.stochgeom import (
     PppConfig,
-    Realization,
     nearest_distance_cdf,
     sample_marks,
     sample_ordered_distances,
-    sample_rayleigh_power,
     sample_rician_power,
     thinned_ratio_sum_mc,
 )
@@ -125,18 +123,20 @@ class TestMarks:
 
 
 class TestRayleigh:
+    # Rayleigh power is the K = 0 Rician power, Exp(1)
+
     def test_unit_mean(self):
-        draws = sample_rayleigh_power(derive_rng(10), size=1_000_000)
+        draws = sample_rician_power(0.0, derive_rng(10), size=1_000_000)
         assert draws.mean() == pytest.approx(1.0, abs=0.005)
 
     def test_tail_probability(self):
-        draws = sample_rayleigh_power(derive_rng(11), size=1_000_000)
+        draws = sample_rician_power(0.0, derive_rng(11), size=1_000_000)
         assert np.mean(draws > 1.0) == pytest.approx(math.exp(-1.0), abs=0.005)
 
     def test_ratio_law(self):
         rng = derive_rng(12)
-        h1 = sample_rayleigh_power(rng, size=100_000)
-        h2 = sample_rayleigh_power(rng, size=100_000)
+        h1 = sample_rician_power(0.0, rng, size=100_000)
+        h2 = sample_rician_power(0.0, rng, size=100_000)
         d = ks_distance(h1 / h2, lambda x: x / (1.0 + x))
         assert d < 0.01
 
@@ -163,16 +163,6 @@ class TestRician:
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_rician_power(-0.1, derive_rng(16))
-
-
-class TestRealization:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            Realization(distances=np.array([2.0, 1.0]), marks=np.array([0, 1]))
-        with pytest.raises(DomainError):
-            Realization(distances=np.array([1.0, 2.0]), marks=np.array([1, 1]))
-        with pytest.raises(DomainError):
-            Realization(distances=np.array([1.0, 2.0]), marks=np.array([0, 2]))
 
 
 class TestThinnedRatioSum:

@@ -135,6 +135,15 @@ class TestP1:
     def test_unity_at_origin(self):
         assert thz.p1_thz(350e9, 0.0, thz.ThzParams(), TABLE_MONO) == 1.0
 
+    def test_array_input_is_one_at_origin(self):
+        prm = thz.ThzParams()
+        f = np.array([340e9, 350e9, 360e9])
+        r = np.array([0.0, 5.0, 12.0])
+        got = thz.p1_thz(f, r, prm, TABLE_MONO)
+        assert got[0] == 1.0
+        assert got.tolist() == [thz.p1_thz(float(a), float(b), prm, TABLE_MONO)
+                                for a, b in zip(f, r)]
+
     def test_monotone_in_distance(self):
         prm = thz.ThzParams()
         vals = [thz.p1_thz(350e9, r, prm, TABLE_MONO) for r in np.linspace(0.0, 30, 16)]
