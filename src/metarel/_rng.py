@@ -2,7 +2,7 @@
 
 Every Monte Carlo routine in the package draws from generators created
 here.  A stream is addressed by (seed, *path) where the path encodes the
-layer and realization index; the mapping is pure, so results never depend
+layer and block index; the mapping is pure, so results never depend
 on scheduling or worker count.
 """
 

@@ -332,11 +332,17 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
         ctx.params(zeta), GRID_Q, p1, (ctx.trials[0], ctx.trials[2]), ctx.seed + 8
     )
     diff = abs(integral - fo.value)
+    # the integral is a mean of N2 per-draw integrals in [0, 1], so
+    # sqrt(I (1 - I) / N2) bounds its standard error
+    sig = math.hypot(fo.stderr, math.sqrt(integral * (1.0 - integral) / ctx.trials[2]))
     lines = [
         CheckLine(
             label=f"zeta={zeta} p1={p1}",
-            passed=diff <= 0.02,
-            detail=f"integral={integral:.4f} first-order MC={fo.value:.4f} |diff|={diff:.4f}",
+            passed=diff <= 3.0 * sig,
+            detail=(
+                f"integral={integral:.4f} first-order MC={fo.value:.4f} "
+                f"|diff|={diff:.4f} 3sig={3 * sig:.4f}"
+            ),
         )
     ]
     return _all_pass(6, "order-reduction integral matches the first-order MD", lines)

@@ -272,32 +272,6 @@ def zeroth_order_reliability_closed(
 # ---------------------------------------------------------------------------
 
 
-def _exact_p1_for_marks(
-    dist_sq: np.ndarray, active: np.ndarray, q: float, alpha: float
-) -> np.ndarray:
-    """Exact conditional success probabilities for a batch of mark rows.
-
-    ``active`` is a boolean (n1, n_points-1) array over non-serving points.
-    """
-    half_alpha = 0.5 * alpha
-    v = np.log1p(q * (dist_sq[0] / dist_sq[1:]) ** half_alpha)
-    return np.exp(-(active.astype(float) @ v))
-
-
-def _single_interferer_p1(
-    dist_sq: np.ndarray, offsets: np.ndarray, q: float, alpha: float
-) -> np.ndarray:
-    """Exact P1 when only the first marked point (1-based offset) interferes;
-    offsets beyond the realized window mean an interference-free trial."""
-    n = dist_sq.size
-    p1 = np.ones(offsets.size)
-    valid = offsets <= n - 1
-    idx = offsets[valid]
-    ratio = (dist_sq[0] / dist_sq[idx]) ** (0.5 * alpha)
-    p1[valid] = 1.0 / (1.0 + q * ratio)
-    return p1
-
-
 def _sample_first_offsets(
     size: tuple[int, ...], zeta: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -330,8 +304,7 @@ def canonical_layered_model(
     single = params.mode == "single_interferer"
 
     def sample_distances(rng, above, size):
-        # the outermost layer: the engine asks for size (1, 1)
-        return sample_ordered_distances(cfg, rng).reshape(size + (params.n_points,))
+        return sample_ordered_distances(cfg, rng, size)
 
     def sample_mark_rows(rng, above, size):
         if single:
@@ -362,10 +335,18 @@ def canonical_layered_model(
         return np.divide(signal, interference, out=sirs, where=interference > 0.0)
 
     def exact(rng, above, size):
+        # P1 = prod over marked points of 1 / (1 + q (R_1/R_i)^alpha)
         dist_sq = np.square(above[0])
         marks = sample_mark_rows(rng, above, size)
-        p1 = _single_interferer_p1 if single else _exact_p1_for_marks
-        return np.array([p1(d, mk, q, alpha) for d, mk in zip(dist_sq, marks)])
+        if single:
+            valid = marks < params.n_points
+            idx = np.where(valid, marks, 0)
+            ratio = (dist_sq[:, :1] / np.take_along_axis(dist_sq, idx, axis=1)) ** (
+                0.5 * alpha
+            )
+            return np.where(valid, 1.0 / (1.0 + q * ratio), 1.0)
+        v = np.log1p(q * (dist_sq[:, :1] / dist_sq[:, 1:]) ** (0.5 * alpha))
+        return np.exp(-(marks.astype(float) @ v[:, :, None])[..., 0])
 
     return LayeredModel(
         layers=(sample_powers, sample_mark_rows, sample_distances),

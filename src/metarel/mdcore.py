@@ -14,17 +14,23 @@ rejected for that reason.
 One engine serves every order and every threshold grid.  Its batch
 contract:
 
-- Stream address.  Outer draw i of an order-k estimate draws everything
-  below it from its own stream ``derive_rng(seed, k, i)``, with k = 0 for
-  the zeroth-order ccdf, so a result is bit-identical for a fixed (seed,
-  trials) regardless of evaluation order.
+- Blocks.  The outer draws are taken in consecutive blocks of B, where
+  B = max(1, 256 // rows) and rows = N_(n-1)...N_1, times N0 unless the
+  model has an exact hook, counts the inner rows one outer draw
+  materializes.  B is fixed by the model and the trial counts alone.
+- Stream address.  Block b of an order-k estimate draws everything in it
+  from its own stream ``derive_rng(seed, k, b)``, with k = 0 for the
+  zeroth-order ccdf, so a result is bit-identical for a fixed (seed,
+  trials) regardless of evaluation order.  With B = 1, block b is outer
+  draw b.
 - Samplers.  ``layers[k](rng, above, size)`` receives the states of the
   layers above it, outermost first, each an array whose first axis holds m
   parent rows, and ``size = (m, n)``.  It returns n independent states for
   each parent row, an array of shape ``(m, n, ...)``.  The outermost layer
-  gets ``above = ()`` and ``size = (1, 1)``.  Before descending, the engine
-  flattens the new states to ``(m * n, ...)`` and repeats every parent row
-  n times, so all arrays in ``above`` share their first axis.
+  gets ``above = ()`` and ``size = (1, B)``, with fewer than B draws in a
+  short last block.  Before descending, the engine flattens the new states
+  to ``(m * n, ...)`` and repeats every parent row n times, so all arrays
+  in ``above`` share their first axis.
 - QoS.  ``qos(states)`` receives ``above`` plus the innermost states of
   shape ``(m, N0, ...)`` and returns the ``(m, N0)`` QoS values.  An inner
   draw succeeds when its QoS is strictly greater than q.
@@ -58,6 +64,8 @@ __all__ = [
 ]
 
 MAX_LAYERS = 4
+# Inner rows materialized per block of outer draws (see the module docstring).
+_BLOCK_ROWS = 256
 
 # Batch sampler: sampler(rng, above, size) -> states of shape size + state shape.
 LayerSampler = Callable[[np.random.Generator, tuple, tuple], np.ndarray]
@@ -76,8 +84,10 @@ class LayeredModel:
     QoS values; a draw succeeds when QoS > q, strictly.  ``exact(rng, above,
     size)`` draws layer-1 states and returns their exact P1, shape ``size``;
     the engine samples Binomial(N0, P1)/N0 from it, so the hook must
-    preserve the estimator's law exactly.  Outer draw i of an order-k
-    estimate uses the stream ``derive_rng(seed, k, i)``.  A model needs
+    preserve the estimator's law exactly.  The outermost sampler gets
+    ``size = (1, B)`` for a block of B outer draws; block b of an order-k
+    estimate uses the stream ``derive_rng(seed, k, b)``, and B = 1 gives
+    outer draw i the stream ``derive_rng(seed, k, i)``.  A model needs
     ``qos``, ``exact`` or both.
     """
 
@@ -145,10 +155,15 @@ def _descend(above: tuple, states: np.ndarray, size: tuple[int, int]) -> tuple:
 
 
 def _p1_estimates(
-    model: LayeredModel, q: float, trials: tuple[int, ...], rng: np.random.Generator
+    model: LayeredModel,
+    q: float,
+    trials: tuple[int, ...],
+    n_outer: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """P1 estimates under one outer draw, shape (N_(n-1), ..., N_1)."""
-    sizes = (1,) + tuple(trials[-2:0:-1])  # draws per parent row, layers n..1
+    """P1 estimates under a block of n_outer outer draws, shape
+    (n_outer, N_(n-1), ..., N_1)."""
+    sizes = (n_outer,) + tuple(trials[-2:0:-1])  # draws per parent row, layers n..1
     above: tuple = ()
     m = 1
     for layer, n_k in zip(model.layers[:1:-1], sizes):
@@ -162,7 +177,7 @@ def _p1_estimates(
         above = _descend(above, model.layers[1](rng, above, size), size)
         inner = model.layers[0](rng, above, (m * sizes[-1], n0))
         p1 = (model.qos(above + (inner,)) > q).sum(axis=1) / n0
-    return p1.reshape(sizes[1:])
+    return p1.reshape(sizes)
 
 
 def _exceedance_counts(
@@ -176,9 +191,13 @@ def _exceedance_counts(
     """Number of outer draws with P_n > p_n for every threshold combination,
     shape (len(grids[0]), ..., len(grids[-1])); all cells share the draws."""
     n = model.order
+    rows = math.prod(trials[1:-1]) * (1 if model.exact is not None else trials[0])
+    block = max(1, _BLOCK_ROWS // rows)
     est = np.empty(trials[:0:-1])
-    for i in range(trials[-1]):
-        est[i] = _p1_estimates(model, q, trials, derive_rng(seed, stream, i))
+    for b, start in enumerate(range(0, trials[-1], block)):
+        n_outer = min(block, trials[-1] - start)
+        rng = derive_rng(seed, stream, b)
+        est[start : start + n_outer] = _p1_estimates(model, q, trials, n_outer, rng)
     # est: sample axes (N_n, ..., N_k), then threshold axes p_1..p_(k-1)
     for k in range(1, n):
         est = (est[..., None] > grids[k - 1]).sum(axis=n - k) / trials[k]

@@ -43,15 +43,20 @@ class PppConfig:
             raise DomainError("n_points must be >= 1")
 
 
-def sample_ordered_distances(cfg: PppConfig, rng: np.random.Generator) -> np.ndarray:
-    """Distances to the n nearest PPP points, ascending.
+def sample_ordered_distances(
+    cfg: PppConfig, rng: np.random.Generator, size=()
+) -> np.ndarray:
+    """Distances to the n nearest PPP points, ascending, for ``size``
+    independent realizations: shape ``size + (n,)``.
 
     R_i^2 are cumulative sums of Exp(lambda*pi) gaps, which is exact for the
-    ordered distances from the origin.
+    ordered distances from the origin.  Realizations are drawn in row-major
+    order, so one call with ``size = (k,)`` returns the k arrays that k
+    successive calls with the same generator would.
     """
     rate = cfg.intensity * math.pi
-    gaps = rng.standard_exponential(cfg.n_points) / rate
-    return np.sqrt(np.cumsum(gaps))
+    gaps = rng.standard_exponential(tuple(size) + (cfg.n_points,)) / rate
+    return np.sqrt(np.cumsum(gaps, axis=-1))
 
 
 def nearest_distance_cdf(r, intensity: float):

@@ -290,6 +290,41 @@ class TestMonteCarlo:
         sigma = math.hypot(float(grid.stderr[0, 0]), est.stderr)
         assert abs(float(grid.values[0, 0]) - est.value) <= 3.0 * max(sigma, 0.02)
 
+    @pytest.mark.parametrize("mode", can.MODES)
+    def test_exact_hook_matches_per_row_product_form(self, mode):
+        # the row-batched hook against the product form, one mark row at a time
+        prm = unit_params(0.1, mode=mode, n_points=20)
+        exact = can.canonical_layered_model(prm, 1.0, inner="exact_binomial").exact
+        sample_marks = can.canonical_layered_model(prm, 1.0).layers[1]
+        cfg = PppConfig(intensity=prm.intensity, n_points=prm.n_points)
+        d = sample_ordered_distances(cfg, derive_rng(33), (6,))
+        p1 = exact(derive_rng(34), (d,), (6, 40))
+        marks = sample_marks(derive_rng(34), (d,), (6, 40))
+        assert p1.shape == (6, 40)
+        if mode == "single_interferer":
+            # both an interferer inside the window and none occur
+            assert (marks < prm.n_points).any() and (marks >= prm.n_points).any()
+        for i, j in np.ndindex(p1.shape):
+            active = np.zeros(prm.n_points, dtype=bool)
+            if mode == "single_interferer":
+                if marks[i, j] < prm.n_points:
+                    active[marks[i, j]] = True
+            else:
+                active[1:] = marks[i, j]
+            want = can.conditional_link_success(d[i], active, 1.0, prm.alpha)
+            assert p1[i, j] == pytest.approx(want, rel=1e-12)
+
+    def test_blocks_of_one_outer_draw_are_pinned(self):
+        # N1 * N0 = 10000 sampled inner rows per outer draw make blocks of one
+        # draw on the stream (seed, 2, i); recorded before outer draws were
+        # blocked
+        est = can.run_canonical_mc(
+            unit_params(0.5),
+            MdQuery(q=1.0, p=(0.8, 0.3), trials=(200, 50, 200)),
+            seed=20260809,
+        )
+        assert (repr(est.value), repr(est.stderr)) == ("0.745", "0.030820042180373472")
+
     def test_query_arity_enforced(self):
         with pytest.raises(ConfigurationError):
             can.run_canonical_mc(

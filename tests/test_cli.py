@@ -171,7 +171,7 @@ def test_unreadable_input_file_exits_4(tmp_path, capsys, flag, content):
             canonical_argv("--method", "both", "--grid", "0.3,0.5,0.8", "--zeta", "0.5",
                            "--trials", "200,20,200"),
             "08df42c88d76d95c",
-            "0a4874f40e40270013c5bd562e4a5e5a3cd74ccda1eed4340ce5cac027be5884",
+            "3e5455b86949e5aa94db5209fb7004086a125f917956fa32483f2c280e1865a7",
         ),
         (
             bandwidth_argv("--targets", "0.3,0.6,0.9", "--zeta", "0.5", "--w-low", "3e4"),

@@ -29,26 +29,17 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
 
 class TestOrderedDistances:
     def test_first_squared_distance_is_unit_exponential(self):
-        rng = derive_rng(1)
-        r1sq = np.array(
-            [sample_ordered_distances(UNIT_CFG, rng)[0] ** 2 for _ in range(100_000)]
-        )
+        r1sq = sample_ordered_distances(UNIT_CFG, derive_rng(1), (100_000,))[:, 0] ** 2
         assert r1sq.mean() == pytest.approx(1.0, abs=0.02)
 
     def test_nearest_distance_ks(self):
-        rng = derive_rng(2)
-        draws = np.array(
-            [sample_ordered_distances(UNIT_CFG, rng)[0] for _ in range(100_000)]
-        )
+        draws = sample_ordered_distances(UNIT_CFG, derive_rng(2), (100_000,))[:, 0]
         d = ks_distance(draws, lambda r: nearest_distance_cdf(r, UNIT_CFG.intensity))
         assert d < 0.01
 
     def test_ratio_square_has_mean_half(self):
-        rng = derive_rng(3)
-        vals = np.empty(100_000)
-        for i in range(vals.size):
-            d = sample_ordered_distances(UNIT_CFG, rng)
-            vals[i] = (d[0] / d[1]) ** 2
+        d = sample_ordered_distances(UNIT_CFG, derive_rng(3), (100_000,))
+        vals = (d[:, 0] / d[:, 1]) ** 2
         assert vals.mean() == pytest.approx(0.5, abs=0.01)
 
     def test_strictly_ascending(self):
@@ -61,6 +52,13 @@ class TestOrderedDistances:
         a = sample_ordered_distances(UNIT_CFG, derive_rng(9, 1, 2))
         b = sample_ordered_distances(UNIT_CFG, derive_rng(9, 1, 2))
         assert np.array_equal(a, b)
+
+    def test_batch_equals_successive_calls(self):
+        rng = derive_rng(9, 3)
+        loop = np.array([sample_ordered_distances(UNIT_CFG, rng) for _ in range(12)])
+        batch = sample_ordered_distances(UNIT_CFG, derive_rng(9, 3), (3, 4))
+        assert batch.shape == (3, 4, UNIT_CFG.n_points)
+        assert np.array_equal(batch.reshape(loop.shape), loop)
 
 
 class TestNearestDistanceCdf:
@@ -75,11 +73,8 @@ class TestNearestDistanceCdf:
         want = 1.0 - math.exp(-0.15 * math.pi)
         assert nearest_distance_cdf(10.0, 1.5e-3) == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(0.3757, abs=5e-4)
-        rng = derive_rng(5)
         cfg = PppConfig(intensity=1.5e-3, n_points=1)
-        draws = np.array(
-            [sample_ordered_distances(cfg, rng)[0] for _ in range(200_000)]
-        )
+        draws = sample_ordered_distances(cfg, derive_rng(5), (200_000,))[:, 0]
         assert np.mean(draws <= 10.0) == pytest.approx(want, abs=0.005)
 
     def test_domain(self):

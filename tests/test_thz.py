@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ncx2
 
 from metarel import thz
 from metarel._rng import derive_rng
@@ -554,14 +555,20 @@ class TestThzMonteCarlo:
         assert abs(est.value - float(grid.values[0, 0])) <= 3.0 * max(sigma, 0.025)
 
     def test_exact_hook_matches_marcum_quadrature(self):
+        # 2 (K + 1) h is noncentral chi-square with 2 degrees of freedom and
+        # noncentrality 2K, so P(h g > q) = ncx2.sf(2 (K + 1) q / g, 2, 2K)
         prm = thz.ThzParams(m_shape=1)
         exact = thz._thz_model(prm, TABLE_VALLEY, exact_inner=True).exact
         r = np.array([10.0, 45.0, 55.0, 60.0])
         p1 = exact(np.random.default_rng(48), (r,), (4, 5))
         f = thz.sample_carrier(np.random.default_rng(48), prm, (4, 5))
-        for i, j in np.ndindex(p1.shape):
-            want = thz.p1_thz(f[i, j], r[i], prm, TABLE_VALLEY)
-            assert p1[i, j] == pytest.approx(want, abs=1e-12)
+        k = prm.rician_k
+        gain = np.exp(-TABLE_VALLEY.k_at(f) * r[:, None]) / (
+            prm.c1() * np.square(f * r[:, None])
+        )
+        want = ncx2.sf(2.0 * (k + 1.0) * prm.qos() / gain, 2, 2.0 * k)
+        assert p1.shape == (4, 5)
+        assert np.all(np.abs(p1 - want) <= 1e-12)
 
     def test_vanishing_distance_saturates(self):
         prm = thz.ThzParams(intensity=1e9)  # nearest BS essentially on top
