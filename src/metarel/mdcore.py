@@ -39,7 +39,8 @@ contract:
   probabilities P1 with shape ``size``.  The engine then draws
   Binomial(N0, P1)/N0, in place of ``layers[1]``, ``layers[0]`` and ``qos``.
   The hook must preserve the estimator's law exactly: its P1 must be the
-  probability that one inner draw succeeds given those states.
+  probability that one inner draw succeeds given those states.  A model
+  needs ``qos``, ``exact`` or both.
 """
 
 from __future__ import annotations
@@ -73,23 +74,7 @@ LayerSampler = Callable[[np.random.Generator, tuple, tuple], np.ndarray]
 
 @dataclass(frozen=True)
 class LayeredModel:
-    """Ordered batch samplers, a vectorized QoS evaluator and an optional
-    exact hook, under the batch contract of the module docstring.
-
-    ``layers[0]`` is the innermost (fastest) layer, ``layers[-1]`` the
-    outermost (static) one.  ``sampler(rng, above, size)`` gets the m
-    parent rows of the layers above (outermost first) and ``size = (m, n)``
-    and returns n states per row, shape ``(m, n, ...)``.  ``qos`` maps
-    innermost states of shape ``(m, N0, ...)`` to deterministic ``(m, N0)``
-    QoS values; a draw succeeds when QoS > q, strictly.  ``exact(rng, above,
-    size)`` draws layer-1 states and returns their exact P1, shape ``size``;
-    the engine samples Binomial(N0, P1)/N0 from it, so the hook must
-    preserve the estimator's law exactly.  The outermost sampler gets
-    ``size = (1, B)`` for a block of B outer draws; block b of an order-k
-    estimate uses the stream ``derive_rng(seed, k, b)``, and B = 1 gives
-    outer draw i the stream ``derive_rng(seed, k, i)``.  A model needs
-    ``qos``, ``exact`` or both.
-    """
+    """Samplers, QoS and exact hook under the module docstring's batch contract."""
 
     layers: tuple
     qos: Optional[Callable[[tuple], np.ndarray]] = None
@@ -279,16 +264,18 @@ def zeroth_order_reliability(
 def reduce_order(curve: Sequence[tuple[float, float]]) -> float:
     """Integrate an MD curve over its threshold, dropping one order.
 
-    ``curve`` holds (p_k, value) samples with strictly ascending p_k inside
-    [0, 1].  The value is extended as a constant from the smallest sampled
-    p_k down to 0 and from the largest up to 1, then integrated by the
-    trapezoidal rule.
+    ``curve`` holds finite (p_k, value) samples with strictly ascending p_k
+    inside [0, 1].  The value is extended as a constant from the smallest
+    sampled p_k down to 0 and from the largest up to 1, then integrated by
+    the trapezoidal rule.
     """
     pts = [(float(p), float(v)) for p, v in curve]
     if not pts:
         raise DomainError("curve must not be empty")
     ps = np.array([p for p, _ in pts])
     vs = np.array([v for _, v in pts])
+    if not (np.isfinite(ps).all() and np.isfinite(vs).all()):
+        raise DomainError("curve entries must be finite")
     if np.any(ps < 0.0) or np.any(ps > 1.0):
         raise DomainError("thresholds must lie in [0, 1]")
     if np.any(np.diff(ps) <= 0.0):

@@ -1,11 +1,13 @@
 """Wideband frequency-hopping THz link model.
 
 SNR with molecular absorption, Rician fading success probability through
-the Marcum Q-function, a shaped carrier-frequency distribution over the
-hopping band, and the second-order MD reliability: a Lambert-W closed form
-when the absorption coefficient k(f) increases monotonically over the band
-(Scenario 1), and root classification plus radial integration when k(f) is
-valley-shaped (Scenario 2).
+the Marcum Q-function, a carrier frequency whose band fraction
+(f - f_low) / (f_high - f_low) follows Beta(m+1, m+1), with density, CDF
+and quantile evaluated through scipy.special, and the second-order MD
+reliability: a Lambert-W closed form when the absorption coefficient k(f)
+increases monotonically over the band (Scenario 1), and root
+classification plus radial integration when k(f) is valley-shaped
+(Scenario 2).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import special
 
 from .errors import (
     AccuracyError,
@@ -54,7 +57,6 @@ __all__ = [
     "default_marcum_coeffs",
     "p1_tilde",
     "attenuation_metric",
-    "f_tilde_scenario1",
     "r2_scenario1",
     "roots_scenario2",
     "p2_scenario2",
@@ -191,14 +193,9 @@ class AbsorptionTable:
     def is_valley(self, f_low: float, f_high: float) -> bool:
         """Non-increasing then non-decreasing over the band (either part may
         be empty), which both solution schemes rely on."""
-        diffs = np.diff(self.k_at(self.knots_in_band(f_low, f_high)))
-        falling = True
-        for d in diffs:
-            if falling and d > 0.0:
-                falling = False
-            elif not falling and d < 0.0:
-                return False
-        return True
+        d = np.diff(self.k_at(self.knots_in_band(f_low, f_high)))
+        risen = np.maximum.accumulate(d > 0.0)
+        return not np.any(risen & (d < 0.0))
 
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -280,15 +277,15 @@ def synthetic_valley_table(
 # ---------------------------------------------------------------------------
 
 
-def thz_snr(h: float, f: float, r: float, params: ThzParams, table: AbsorptionTable):
-    """SNR = P_T G_T G_R c^2 / (4 pi f)^2 * h r^-2 e^(-k(f) r) / (N0 W)."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
+def thz_snr(h, f, r, params: ThzParams, table: AbsorptionTable):
+    """SNR = h * [P_T G_T G_R c^2 / (4 pi f)^2 * r^-2 e^(-k(f) r) / (N0 W)],
+    the fading power h times the channel gain; h, f and r broadcast."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
         raise DomainError("r must be positive")
-    kf = table.k_at(f)
-    out = np.asarray(h, dtype=float) * np.exp(-kf * r_arr) / (
-        params.c1() * np.square(np.asarray(f, dtype=float) * r_arr)
-    )
+    f = np.asarray(f, dtype=float)
+    gain = np.exp(-table.k_at(f) * r) / (params.c1() * np.square(f * r))
+    out = np.asarray(h, dtype=float) * gain
     return float(out) if out.ndim == 0 else out
 
 
@@ -311,83 +308,43 @@ def p1_thz(f, r, params: ThzParams, table: AbsorptionTable):
 # ---------------------------------------------------------------------------
 
 
-def carrier_pdf(f, params: ThzParams):
-    """Density c[(f_high - f)(f - f_low)]^m on the band, in 1/Hz."""
+def _band_fraction(f, params: ThzParams) -> np.ndarray:
+    """(f - f_low) / (f_high - f_low); a frequency outside the band is an error."""
     f = np.asarray(f, dtype=float)
     lo, hi = params.band()
     if np.any(f < lo) or np.any(f > hi):
         raise DomainError("frequency outside the hopping band")
-    width = hi - lo
-    u = (f - lo) / width
+    return (f - lo) / (hi - lo)
+
+
+def carrier_pdf(f, params: ThzParams):
+    """Carrier density in 1/Hz: the Beta(m+1, m+1) density of the band
+    fraction, through scipy.special's betaln, divided by the band width."""
+    u = _band_fraction(f, params)
     m = params.m_shape
-    if m == 0:
-        out = np.full_like(u, 1.0 / width)
-        return float(out) if out.ndim == 0 else out
-    lbeta = math.lgamma(m + 1.0) * 2.0 - math.lgamma(2.0 * m + 2.0)
-    with np.errstate(divide="ignore"):
-        logpdf = m * (np.log(u) + np.log1p(-u)) - lbeta - math.log(width)
-    out = np.where((u == 0.0) | (u == 1.0), 0.0, np.exp(logpdf))
+    lo, hi = params.band()
+    log_pdf = special.xlogy(m, u) + special.xlog1py(m, -u) - special.betaln(m + 1, m + 1)
+    out = np.exp(log_pdf) / (hi - lo)
     return float(out) if out.ndim == 0 else out
 
 
 def carrier_cdf(f, params: ThzParams):
-    """CDF of the carrier distribution.
-
-    For integer m the regularized incomplete beta function reduces to a
-    binomial tail, sum_{j=m+1}^{2m+1} C(2m+1, j) u^j (1-u)^(2m+1-j), whose
-    terms are all positive; this stays accurate for every m, unlike a
-    power-series expansion of the density, whose signed terms cancel
-    catastrophically for large m.
-    """
-    f_in = np.asarray(f, dtype=float)
-    lo, hi = params.band()
-    if np.any(f_in < lo) or np.any(f_in > hi):
-        raise DomainError("frequency outside the hopping band")
-    u = np.atleast_1d((f_in - lo) / (hi - lo))
-    m = params.m_shape
-    if m == 0:
-        out = np.clip(u, 0.0, 1.0)
-    else:
-        n_tot = 2 * m + 1
-        out = np.where(u >= 1.0, 1.0, 0.0)
-        interior = (u > 0.0) & (u < 1.0)
-        ui = u[interior]
-        log_u = np.log(ui)
-        log_1mu = np.log1p(-ui)
-        acc = np.zeros_like(ui)
-        for j in range(m + 1, n_tot + 1):
-            log_c = (
-                math.lgamma(n_tot + 1.0)
-                - math.lgamma(j + 1.0)
-                - math.lgamma(n_tot - j + 1.0)
-            )
-            acc += np.exp(log_c + j * log_u + (n_tot - j) * log_1mu)
-        out[interior] = np.minimum(acc, 1.0)
-    return float(out[0]) if f_in.ndim == 0 else out
+    """Carrier CDF: the Beta(m+1, m+1) CDF of the band fraction u,
+    scipy.special.betainc(m+1, m+1, u)."""
+    a = params.m_shape + 1.0
+    out = special.betainc(a, a, _band_fraction(f, params))
+    return float(out) if out.ndim == 0 else out
 
 
 def carrier_cdf_inverse(p: float, params: ThzParams) -> float:
-    """Frequency f0 with carrier_cdf(f0) = p; exact for m = 0, else bisection.
-
-    The bisection stops once the midpoint rounds onto an end of the bracket:
-    the update then leaves the bracket unchanged, and so does every later
-    step, so the result equals that of the full 100 steps.
-    """
+    """Frequency f0 with carrier_cdf(f0) = p: the Beta(m+1, m+1) quantile
+    scipy.special.betaincinv mapped onto the band, so that p = 0 and p = 1
+    give the band edges."""
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
     lo, hi = params.band()
-    if params.m_shape == 0:
-        return lo + p * (hi - lo)
-    a, b = lo, hi
-    for _ in range(100):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if carrier_cdf(mid, params) < p:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    a = params.m_shape + 1.0
+    return float(lo + special.betaincinv(a, a, p) * (hi - lo))
 
 
 def sample_carrier(rng: np.random.Generator, params: ThzParams, size=None):
@@ -571,38 +528,6 @@ def _p2_radii(
     return np.where(f2 <= f1, 0.0, np.maximum(cdf[r.size :] - cdf[: r.size], 0.0))
 
 
-def f_tilde_scenario1(
-    r: float,
-    p1_tilde_value: float,
-    params: ThzParams,
-    table: AbsorptionTable,
-) -> Optional[float]:
-    """Unique solution of g(f; r) = p1_tilde on a monotone-k band, or None.
-
-    Requires k(f) non-decreasing over the band, which makes g strictly
-    increasing in f; a non-monotone table is a scenario error.  The root is
-    the batched bisection of the whole band as a single bracket.
-    """
-    lo, hi = params.band()
-    if not table.is_monotone_nondecreasing(lo, hi):
-        raise ScenarioError(
-            "k(f) is not monotone non-decreasing on the band; "
-            "use the valley-shape (scenario 2) engine"
-        )
-    if r < 0.0:
-        raise DomainError("r must be >= 0")
-    if r == 0.0:
-        return None  # g is identically 0 < p1_tilde
-    g_lo = attenuation_metric(lo, r, table)
-    g_hi = attenuation_metric(hi, r, table)
-    if not g_lo < p1_tilde_value < g_hi:
-        return None
-    root = _metric_roots(
-        np.array([lo]), np.array([hi]), np.array([float(r)]), p1_tilde_value, table
-    )
-    return float(root[0])
-
-
 def r2_scenario1(
     p1: float,
     p2: float,
@@ -748,14 +673,20 @@ def r2_scenario2(
 # ---------------------------------------------------------------------------
 
 
-def thz_layered_model(params: ThzParams, table: AbsorptionTable) -> LayeredModel:
+def thz_layered_model(
+    params: ThzParams, table: AbsorptionTable, exact_inner: bool = False
+) -> LayeredModel:
     """LayeredModel with layers (Rician fading power, carrier frequency,
-    nearest-BS distance), each state an array of those values."""
+    nearest-BS distance), each state an array of those values.
+
+    ``exact_inner`` adds the exact hook, which draws one carrier frequency
+    per inner trial and returns the Marcum success probability
+    :func:`p1_thz` at it.
+    """
     lo, hi = params.band()
     if not table.covers(lo, hi):
         raise ConfigurationError("absorption table does not cover the band")
     lam_pi = params.intensity * math.pi
-    c1 = params.c1()
 
     def sample_distance(rng, above, size):
         return np.sqrt(rng.standard_exponential(size) / lam_pi)
@@ -768,27 +699,16 @@ def thz_layered_model(params: ThzParams, table: AbsorptionTable) -> LayeredModel
 
     def qos(states):
         r, f, h = states
-        return h * (np.exp(-table.k_at(f) * r) / (c1 * np.square(f * r)))[:, None]
-
-    return LayeredModel(layers=(sample_fading, sample_freq, sample_distance), qos=qos)
-
-
-def _thz_model(
-    params: ThzParams, table: AbsorptionTable, exact_inner: bool
-) -> LayeredModel:
-    """The THz LayeredModel; ``exact_inner`` adds the exact hook, which draws
-    one carrier frequency per inner trial and returns the Marcum success
-    probability :func:`p1_thz` at it."""
-    model = thz_layered_model(params, table)
-    if not exact_inner:
-        return model
-    sample_freq = model.layers[1]
+        return thz_snr(h, f[:, None], r[:, None], params, table)
 
     def exact(rng, above, size):
-        f = sample_freq(rng, above, size)
-        return p1_thz(f, above[-1][:, None], params, table)
+        return p1_thz(sample_freq(rng, above, size), above[-1][:, None], params, table)
 
-    return replace(model, exact=exact)
+    return LayeredModel(
+        layers=(sample_fading, sample_freq, sample_distance),
+        qos=qos,
+        exact=exact if exact_inner else None,
+    )
 
 
 def run_thz_mc(
@@ -808,7 +728,7 @@ def run_thz_mc(
         raise ConfigurationError("THz MC is second order: need two thresholds")
     if abs(query.q - params.qos()) > 1e-12 * max(1.0, abs(params.qos())):
         raise ConfigurationError("query.q must equal the params QoS threshold")
-    return nested_md_estimate(_thz_model(params, table, exact_inner), query, seed)
+    return nested_md_estimate(thz_layered_model(params, table, exact_inner), query, seed)
 
 
 def run_thz_mc_grid(
@@ -821,7 +741,7 @@ def run_thz_mc_grid(
     exact_inner: bool = False,
 ) -> GridEstimate:
     """Second-order THz estimates over a (p1, p2) grid, one shared sample set."""
-    model = _thz_model(params, table, exact_inner)
+    model = thz_layered_model(params, table, exact_inner)
     return _grid_estimate(model, params.qos(), p1_grid, p2_grid, trials, seed)
 
 

@@ -139,8 +139,12 @@ def test_reduce_order_prints_a_plain_float(tmp_path, capsys, fmt):
                       '"R_mc"], "data": {"axis": [0.3, 0.5], "R_mc": [null, 0.4]}}'),
         ("text.json", '{"spec_hash": "", "seed": 1, "version": "0.1.0", "columns": ["axis", '
                       '"R_mc"], "data": {"axis": [0.3, 0.5], "R_mc": ["abc", 0.4]}}'),
+        ("nan.csv", "axis,R_mc\n0.3,nan\n0.5,0.4\n"),
+        ("inf.csv", "axis,R_mc\ninf,0.5\n0.5,0.4\n"),
+        ("nan.json", '{"spec_hash": "", "seed": 1, "version": "0.1.0", "columns": ["axis", '
+                     '"R_mc"], "data": {"axis": [0.3, 0.5], "R_mc": [NaN, 0.4]}}'),
     ],
-    ids=["csv-empty", "json-null", "json-text"],
+    ids=["csv-empty", "json-null", "json-text", "csv-nan", "csv-inf", "json-NaN"],
 )
 def test_non_numeric_curve_cell_exits_4(tmp_path, capsys, name, text):
     path = tmp_path / name
@@ -160,6 +164,42 @@ def test_unreadable_input_file_exits_4(tmp_path, capsys, flag, content):
     code, _, err = run_cli(capsys, argv)
     assert code == 4
     assert_one_line_error(err, "ingest error: ")
+
+
+CONFIG_ARGV = canonical_argv("--grid", "0.3,0.5,0.8")
+
+
+@pytest.mark.parametrize("form", ["separate", "joined"])
+def test_config_file_matches_explicit_flags(tmp_path, capsys, form):
+    path = tmp_path / "run.cfg"
+    path.write_text("# canonical model\nalpha=3.0\n")
+    config = ["--config", str(path)] if form == "separate" else [f"--config={path}"]
+    code, from_file, _ = run_cli(capsys, CONFIG_ARGV + config)
+    assert code == 0
+    assert (0, from_file, "") == run_cli(capsys, CONFIG_ARGV + ["--alpha", "3.0"])
+    assert from_file != run_cli(capsys, CONFIG_ARGV)[1]
+
+
+def test_explicit_flag_overrides_config_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("alpha=3.0\n")
+    code, out, _ = run_cli(capsys, CONFIG_ARGV + ["--config", str(path), "--alpha", "4.0"])
+    assert code == 0
+    assert out == run_cli(capsys, CONFIG_ARGV + ["--alpha", "4.0"])[1]
+
+
+@pytest.mark.parametrize(
+    "text, code, prefix",
+    [("alpha 3.0\n", 2, "usage error: "), (None, 4, "ingest error: ")],
+    ids=["no-equals", "missing"],
+)
+def test_bad_config_file_exits(tmp_path, capsys, text, code, prefix):
+    path = tmp_path / "run.cfg"
+    if text is not None:
+        path.write_text(text)
+    got, out, err = run_cli(capsys, CONFIG_ARGV + ["--config", str(path)])
+    assert got == code and out == ""
+    assert_one_line_error(err, prefix)
 
 
 # spec_hash and the sha256 of stdout for one sweep per command: any change

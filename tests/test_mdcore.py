@@ -256,6 +256,19 @@ class TestReduceOrder:
         with pytest.raises(DomainError):
             reduce_order([])
 
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            [(0.2, math.nan), (0.8, 0.7)],
+            [(0.2, 0.7), (0.8, math.inf)],
+            [(math.nan, 0.7), (0.8, 0.7)],
+        ],
+        ids=["nan-value", "inf-value", "nan-threshold"],
+    )
+    def test_rejects_non_finite_entries(self, curve):
+        with pytest.raises(DomainError, match="finite"):
+            reduce_order(curve)
+
     @given(
         st.lists(
             st.floats(min_value=0.001, max_value=0.999), min_size=2, max_size=20
