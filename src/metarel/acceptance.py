@@ -4,8 +4,7 @@ and the ``validate`` CLI subcommand.
 Each criterion returns a :class:`CriterionResult` with per-check lines so
 both pytest and the JSON report can show exactly which tuple passed or
 failed at its stated tolerance.  Trial counts, grids, and tolerances are
-pinned here; ``quick=True`` shrinks trial counts for smoke runs and is
-never used by the acceptance test suite itself.
+pinned here.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,15 +62,11 @@ class CriterionResult:
     cid: int
     title: str
     passed: bool
-    skipped: bool = False
     lines: list[CheckLine] = field(default_factory=list)
 
-    def summary(self) -> str:
-        status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
-        return f"{status} criterion {self.cid:2d}: {self.title}"
-
     def report(self) -> str:
-        out = [self.summary()]
+        status = "PASS" if self.passed else "FAIL"
+        out = [f"{status} criterion {self.cid:2d}: {self.title}"]
         for line in self.lines:
             mark = "ok  " if line.passed else "FAIL"
             out.append(f"    [{mark}] {line.label}: {line.detail}")
@@ -87,11 +82,8 @@ def _all_pass(cid: int, title: str, lines: list[CheckLine]) -> CriterionResult:
 class AcceptanceContext:
     """Lazily computed shared state (MC runs, tables, coefficients)."""
 
-    def __init__(self, seed: int = DEFAULT_SEED, quick: bool = False):
+    def __init__(self, seed: int = DEFAULT_SEED):
         self.seed = seed
-        self.quick = quick
-        self.trials = (500, 100, 500) if quick else GRID_TRIALS
-        self.lemma_realizations = 20_000 if quick else 100_000
 
     def params(self, zeta: float, mode: str = "single_interferer") -> can.CanonicalParams:
         return can.CanonicalParams(
@@ -106,7 +98,7 @@ class AcceptanceContext:
     def single_grids(self) -> dict[float, can.GridEstimate]:
         return {
             z: can.run_canonical_mc_grid(
-                self.params(z), GRID_Q, GRID_P1, GRID_P2, self.trials, self.seed + 1
+                self.params(z), GRID_Q, GRID_P1, GRID_P2, GRID_TRIALS, self.seed + 1
             )
             for z in GRID_ZETA
         }
@@ -119,7 +111,7 @@ class AcceptanceContext:
                 GRID_Q,
                 GRID_P1,
                 GRID_P2,
-                self.trials,
+                GRID_TRIALS,
                 self.seed + 2,
             )
             for z in GRID_ZETA
@@ -165,7 +157,7 @@ class AcceptanceContext:
             self.valley_table,
             FIG6_P,
             FIG6_P,
-            self.trials,
+            GRID_TRIALS,
             self.seed + 3,
             exact_inner=True,
         )
@@ -206,9 +198,7 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
     lines = []
     for alpha in (3.0, 3.5, 4.0):
         for zeta in (0.2, 0.5, 1.0):
-            est, se = thinned_ratio_sum_mc(
-                alpha, zeta, 200, ctx.lemma_realizations, seed=ctx.seed + 4
-            )
+            est, se = thinned_ratio_sum_mc(alpha, zeta, 200, 100_000, seed=ctx.seed + 4)
             target = can.interference_ratio_expectation(alpha, zeta)
             rel = abs(est - target) / target
             lines.append(
@@ -260,21 +250,25 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
             )
         )
     grid = ctx.single_grids[1.0]
-    n0 = ctx.trials[0]
-    n_outer = ctx.trials[2]
+    # one shared draw set: each p1 gets the values a single-p1 run would
+    fo = can.first_order_md_mc_grid(
+        ctx.params(1.0),
+        GRID_Q,
+        grid.p1_grid,
+        (GRID_TRIALS[0], GRID_TRIALS[2]),
+        ctx.seed + 5,
+    )
     for i, p1 in enumerate(grid.p1_grid):
-        fo = can.first_order_md_mc(
-            ctx.params(1.0), GRID_Q, p1, (n0, n_outer), ctx.seed + 5
-        )
+        first = float(fo.values[i, 0])
         j = grid.p2_grid.index(0.5)
         so = float(grid.values[i, j])
-        sig = math.hypot(fo.stderr, float(grid.stderr[i, j]))
-        diff = abs(so - fo.value)
+        sig = math.hypot(float(fo.stderr[i, 0]), float(grid.stderr[i, j]))
+        diff = abs(so - first)
         lines.append(
             CheckLine(
                 label=f"MC lumped vs nested p1={p1}",
                 passed=diff <= 3.0 * sig,
-                detail=f"first={fo.value:.4f} second={so:.4f} |diff|={diff:.4f} 3sig={3*sig:.4f}",
+                detail=f"first={first:.4f} second={so:.4f} |diff|={diff:.4f} 3sig={3*sig:.4f}",
             )
         )
     return _all_pass(4, "zeta=1 bypasses the middle layer", lines)
@@ -325,22 +319,25 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     zeta = 0.5
     p2_grid = tuple(np.linspace(0.025, 0.975, 21))
     grid = can.run_canonical_mc_grid(
-        ctx.params(zeta), GRID_Q, (p1,), p2_grid, ctx.trials, ctx.seed + 7
+        ctx.params(zeta), GRID_Q, (p1,), p2_grid, GRID_TRIALS, ctx.seed + 7
     )
     integral = reduce_order(list(zip(grid.p2_grid, grid.values[0])))
-    fo = can.first_order_md_mc(
-        ctx.params(zeta), GRID_Q, p1, (ctx.trials[0], ctx.trials[2]), ctx.seed + 8
+    fo = can.first_order_md_mc_grid(
+        ctx.params(zeta), GRID_Q, (p1,), (GRID_TRIALS[0], GRID_TRIALS[2]), ctx.seed + 8
     )
-    diff = abs(integral - fo.value)
+    first = float(fo.values[0, 0])
+    diff = abs(integral - first)
     # the integral is a mean of N2 per-draw integrals in [0, 1], so
     # sqrt(I (1 - I) / N2) bounds its standard error
-    sig = math.hypot(fo.stderr, math.sqrt(integral * (1.0 - integral) / ctx.trials[2]))
+    sig = math.hypot(
+        float(fo.stderr[0, 0]), math.sqrt(integral * (1.0 - integral) / GRID_TRIALS[2])
+    )
     lines = [
         CheckLine(
             label=f"zeta={zeta} p1={p1}",
             passed=diff <= 3.0 * sig,
             detail=(
-                f"integral={integral:.4f} first-order MC={fo.value:.4f} "
+                f"integral={integral:.4f} first-order MC={first:.4f} "
                 f"|diff|={diff:.4f} 3sig={3 * sig:.4f}"
             ),
         )
@@ -349,58 +346,60 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def _scenario1_quadrature_oracle(
-    p1: float,
-    p2: float,
-    params: thz.ThzParams,
+    cells: Sequence[tuple[thz.ThzParams, float, float]],
     table: thz.AbsorptionTable,
     approx,
     n_r: int = 20000,
     n_f: int = 3000,
-) -> float:
+) -> list[float]:
     """Brute-force nested quadrature of the hierarchical probability chain,
-    with the approximation-path inner probability (threshold form)."""
-    lam_pi = params.intensity * math.pi
-    p1t = thz.p1_tilde(p1, params, approx)
+    with the approximation-path inner probability (threshold form), at each
+    (params, p1, p2) cell.
+
+    The cells must share the intensity and the band: the metric
+    f r e^(k(f) r / 2) then depends on neither, and is computed once per
+    radius chunk for all of them.
+    """
+    lam_pi = cells[0][0].intensity * math.pi
     r_max = math.sqrt(-math.log(1e-10) / lam_pi)
-    lo, hi = params.band()
+    lo, hi = cells[0][0].band()
     fs = lo + (np.arange(n_f) + 0.5) * (hi - lo) / n_f
-    weights = thz.carrier_pdf(fs, params) * (hi - lo) / n_f
     kf = table.k_at(fs)
     dr = r_max / n_r
     rs = (np.arange(n_r) + 0.5) * dr
-    total = 0.0
+    thresholds = [thz.p1_tilde(p1, params, approx) for params, p1, _ in cells]
+    weights = [thz.carrier_pdf(fs, params) * (hi - lo) / n_f for params, _, _ in cells]
+    totals = [0.0] * len(cells)
     for start in range(0, n_r, 2000):
         rc = rs[start : start + 2000][:, None]
         metric = fs[None, :] * rc * np.exp(0.5 * kf[None, :] * rc)
-        p2_of_r = (metric < p1t) @ weights
         dens = 2.0 * lam_pi * rs[start : start + 2000] * np.exp(
             -lam_pi * np.square(rs[start : start + 2000])
         )
-        total += float(np.sum((p2_of_r > p2) * dens * dr))
-    return total
+        for c, (_, _, p2) in enumerate(cells):
+            p2_of_r = (metric < thresholds[c]) @ weights[c]
+            totals[c] += float(np.sum((p2_of_r > p2) * dens * dr))
+    return totals
 
 
 def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     """Scenario-1 closed form vs deterministic nested quadrature."""
     lines = []
     coeffs = thz.default_marcum_coeffs(2.0)
-    n_r, n_f = (6000, 1200) if ctx.quick else (20000, 3000)
-    for m in S1_M:
-        params = thz.ThzParams(m_shape=m)
-        for p1 in S1_P1:
-            for p2 in S1_P2:
-                closed = thz.r2_scenario1(p1, p2, params, ctx.monotone_table, approx=coeffs)
-                oracle = _scenario1_quadrature_oracle(
-                    p1, p2, params, ctx.monotone_table, coeffs, n_r, n_f
-                )
-                diff = abs(closed - oracle)
-                lines.append(
-                    CheckLine(
-                        label=f"m={m} p1={p1} p2={p2}",
-                        passed=diff <= 1e-3,
-                        detail=f"closed={closed:.6f} quadrature={oracle:.6f} |diff|={diff:.2e}",
-                    )
-                )
+    cells = [
+        (thz.ThzParams(m_shape=m), p1, p2) for m in S1_M for p1 in S1_P1 for p2 in S1_P2
+    ]
+    oracles = _scenario1_quadrature_oracle(cells, ctx.monotone_table, coeffs)
+    for (params, p1, p2), oracle in zip(cells, oracles):
+        closed = thz.r2_scenario1(p1, p2, params, ctx.monotone_table, approx=coeffs)
+        diff = abs(closed - oracle)
+        lines.append(
+            CheckLine(
+                label=f"m={params.m_shape} p1={p1} p2={p2}",
+                passed=diff <= 1e-3,
+                detail=f"closed={closed:.6f} quadrature={oracle:.6f} |diff|={diff:.2e}",
+            )
+        )
     return _all_pass(7, "scenario-1 closed form matches nested quadrature", lines)
 
 
@@ -602,8 +601,7 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_12(ctx: AcceptanceContext) -> CriterionResult:
     """Interior reliability maximum over the hopping bandwidth."""
     params = thz.ThzParams(f_low_hz=325e9, f_high_hz=375e9, m_shape=0)
-    n_bw = 7 if ctx.quick else 9
-    bw_grid = np.linspace(4e9, 50e9, n_bw)
+    bw_grid = np.linspace(4e9, 50e9, 9)
     lines = []
     for p2 in (0.5, 0.7):
         rows, best = thz.optimal_bandwidth_sweep(
@@ -640,41 +638,19 @@ ALL_CRITERIA: tuple[tuple[int, Callable[[AcceptanceContext], CriterionResult]], 
     (12, criterion_12),
 )
 
-THZ_CRITERIA = {7, 8, 9, 12}
-
-
-def run_all(
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-    skip_thz: bool = False,
-    skip_reason: str = "",
-) -> list[CriterionResult]:
-    ctx = AcceptanceContext(seed=seed, quick=quick)
-    results = []
-    for cid, fn in ALL_CRITERIA:
-        if skip_thz and cid in THZ_CRITERIA:
-            results.append(
-                CriterionResult(
-                    cid=cid,
-                    title=f"skipped: {skip_reason or 'THz checks disabled'}",
-                    passed=True,
-                    skipped=True,
-                )
-            )
-            continue
-        results.append(fn(ctx))
-    return results
+def run_all(seed: int = DEFAULT_SEED) -> list[CriterionResult]:
+    ctx = AcceptanceContext(seed=seed)
+    return [fn(ctx) for _, fn in ALL_CRITERIA]
 
 
 def results_to_json(results: list[CriterionResult]) -> dict:
     return {
-        "passed": all(r.passed for r in results if not r.skipped),
+        "passed": all(r.passed for r in results),
         "criteria": [
             {
                 "id": r.cid,
                 "title": r.title,
                 "passed": r.passed,
-                "skipped": r.skipped,
                 "checks": [
                     {"label": l.label, "passed": l.passed, "detail": l.detail}
                     for l in r.lines

@@ -36,7 +36,6 @@ __all__ = [
     "canonical_layered_model",
     "run_canonical_mc",
     "run_canonical_mc_grid",
-    "first_order_md_mc",
     "first_order_md_mc_grid",
     "required_bandwidth",
 ]
@@ -207,7 +206,6 @@ def r2_multi_interferer(
     """
     if not 0.0 < zeta <= 1.0:
         raise DomainError("zeta must lie in (0, 1]")
-    # the factor is looked up at call time: validate --perturb-theorem2 swaps it
     phat_eff = p1_hat(p1, q, alpha) * _multi_p1hat_factor(alpha, zeta)
     return _r2_from_p1_hat(phat_eff, p2, zeta)
 
@@ -402,25 +400,6 @@ def run_canonical_mc_grid(
     (exact-binomial inner layer); see :func:`mdcore.nested_md_grid`."""
     model = canonical_layered_model(params, q, inner="exact_binomial")
     return _grid_estimate(model, q, p1_grid, p2_grid, trials, seed)
-
-
-def first_order_md_mc(
-    params: CanonicalParams,
-    q: float,
-    p1: float,
-    trials: tuple[int, int],
-    seed: int,
-    inner: str = "exact_binomial",
-) -> MdEstimate:
-    """First-order MD with the mark and point layers lumped into one outer
-    draw; equivalent to the second-order run with a bypassed middle layer."""
-    grid = first_order_md_mc_grid(params, q, (p1,), trials, seed, inner=inner)
-    return MdEstimate(
-        value=float(grid.values[0, 0]),
-        stderr=float(grid.stderr[0, 0]),
-        trials=grid.trials,
-        seed=seed,
-    )
 
 
 def first_order_md_mc_grid(

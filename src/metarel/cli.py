@@ -184,11 +184,15 @@ def _emit(args, spec_hash: str, columns, rows: list[tuple], meta: dict) -> None:
         rows=rows,
         meta=meta,
     )
-    text = record.to_csv() if args.format == "csv" else record.to_json()
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+    _write(args.out, record.to_csv() if args.format == "csv" else record.to_json())
+
+
+def _write(out: Optional[str], text: str) -> None:
+    """Write ``text`` to the path ``out``, or to stdout when it is None."""
+    if out:
+        with open(out, "w", newline="") as fh:
             fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
+        print(f"wrote {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
 
@@ -216,11 +220,13 @@ def load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _inject_config(argv: list[str]) -> list[str]:
+def _inject_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Expand --config into flags placed before the explicit ones.
 
-    argparse keeps the last occurrence of a repeated option, so values given
-    on the command line take precedence over the config file.
+    Each key names a flag of the subcommand; a flag that takes no argument
+    takes ``true`` (set) or ``false`` (left out).  argparse keeps the last
+    occurrence of a repeated option, so values given on the command line
+    take precedence over the config file.
     """
     path = None
     for i, tok in enumerate(argv):
@@ -232,14 +238,27 @@ def _inject_config(argv: list[str]) -> list[str]:
             break
     if path is None:
         return argv
+    values = load_config(path)
+    commands = next(
+        a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    at = next((i for i, tok in enumerate(argv) if not tok.startswith("-")), None)
+    if at is None or argv[at] not in commands:
+        return argv  # argparse reports the missing or unknown subcommand
+    flags = commands[argv[at]]._option_string_actions
     injected: list[str] = []
-    for key, value in load_config(path).items():
-        injected.extend([f"--{key}", value])
+    for key, value in values.items():
+        action = flags.get(f"--{key}")
+        if action is None:
+            raise UsageError(f"{path}: {argv[at]} has no flag --{key}")
+        if action.nargs != 0:
+            injected.extend([f"--{key}", value])
+        elif value.lower() == "true":
+            injected.append(f"--{key}")
+        elif value.lower() != "false":
+            raise UsageError(f"{path}: {key} takes true or false, not {value!r}")
     # insert right after the subcommand token
-    for i, tok in enumerate(argv):
-        if not tok.startswith("-"):
-            return argv[: i + 1] + injected + argv[i + 1 :]
-    return argv + injected
+    return argv[: at + 1] + injected + argv[at + 1 :]
 
 
 def _numbers(flag: str, cells, kind=float) -> tuple:
@@ -474,26 +493,6 @@ def _thz_table(args, params: thz.ThzParams) -> thz.AbsorptionTable:
 
 def cmd_thz(args) -> int:
     grid = _parse_grid("--grid", args.grid)
-    spec_hash = _spec_hash(
-        "thz",
-        args.method,
-        args.axis,
-        grid,
-        {
-            "m": args.m,
-            "scenario": args.scenario,
-            "p1": args.p1,
-            "p2": args.p2,
-            "f_low": args.f_low,
-            "f_high": args.f_high,
-            "q": args.q,
-            "c1": args.c1,
-            "k_shape": args.rician_k,
-            "anchors": args.anchors,
-            "table": args.absorption_table or "<builtin>",
-            "trials": args.trials,
-        },
-    )
     anchors = _numbers("--anchors", args.anchors.split(","))
     if len(anchors) != 2:
         raise UsageError("--anchors must be two probabilities p_lo,p_hi")
@@ -515,6 +514,31 @@ def cmd_thz(args) -> int:
         c1_override=args.c1,
     )
     table = _thz_table(args, params)
+    spec_hash = _spec_hash(
+        "thz",
+        args.method,
+        args.axis,
+        grid,
+        {
+            "m": args.m,
+            "scenario": args.scenario,
+            "p1": args.p1,
+            "p2": args.p2,
+            "f_low": args.f_low,
+            "f_high": args.f_high,
+            "q": args.q,
+            "c1": args.c1,
+            "k_shape": args.rician_k,
+            "anchors": args.anchors,
+            # the table's contents, so copies of one file hash alike
+            "table": (
+                [table.frequency_hz.tolist(), table.k_per_m.tolist()]
+                if args.absorption_table
+                else "<builtin>"
+            ),
+            "trials": args.trials,
+        },
+    )
     coeffs = calibrate_marcum_coeffs(
         math.sqrt(2.0 * params.rician_k), anchors[0], anchors[1]
     )
@@ -579,46 +603,11 @@ def cmd_reduce_order(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    skip_thz = False
-    skip_reason = ""
-    if args.absorption_table is not None:
-        try:
-            thz.load_absorption_table(args.absorption_table)
-        except IngestError as exc:
-            skip_thz = True
-            skip_reason = f"absorption table unusable ({exc}); THz checks skipped"
-            print(f"warning: {skip_reason}", file=sys.stderr)
-
-    perturbed = None
-    if args.perturb_theorem2:
-        # self-test hook: flip the multi-interferer distance factor so the
-        # ordering/consistency checks must fail
-        perturbed = can._multi_p1hat_factor
-
-        def flipped(alpha: float, zeta: float) -> float:
-            return can.interference_ratio_expectation(alpha, zeta) ** (-1.0 / alpha)
-
-        can._multi_p1hat_factor = flipped
-    try:
-        results = acceptance.run_all(
-            seed=args.seed,
-            quick=args.quick,
-            skip_thz=skip_thz,
-            skip_reason=skip_reason,
-        )
-    finally:
-        if perturbed is not None:
-            can._multi_p1hat_factor = perturbed
+    results = acceptance.run_all(seed=args.seed)
     for result in results:
         print(result.report(), file=sys.stderr)
     payload = acceptance.results_to_json(results)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if payload["passed"] else 1
 
 
@@ -627,11 +616,21 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, need_seed: bool = True) -> None:
-    sub.add_argument("--seed", type=int, required=need_seed, help="master RNG seed")
-    sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+def _add_config(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None, help="flat key=value file")
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    """--seed, --out and --config, shared by the sweeps and validate."""
+    sub.add_argument("--seed", type=int, required=True, help="master RNG seed")
+    sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    _add_config(sub)
+
+
+def _add_sweep_common(sub: argparse.ArgumentParser) -> None:
+    """The common flags plus --format, for the commands that emit a RunRecord."""
+    _add_common(sub)
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("canonical", help="cellular SIR model sweeps")
-    _add_common(p)
+    _add_sweep_common(p)
     p.add_argument("--axis", choices=CANONICAL_AXES, required=True)
     p.add_argument("--grid", required=True, help="a,b,c or start:stop:count")
     p.add_argument("--method", choices=METHODS, default="closed_form")
@@ -664,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_canonical)
 
     p = subs.add_parser("bandwidth", help="required bandwidth per MD order")
-    _add_common(p)
+    _add_sweep_common(p)
     p.add_argument("--targets", required=True, help="target reliabilities grid")
     p.add_argument("--orders", type=str, default="0,1,2")
     p.add_argument("--p1", type=float, required=True)
@@ -680,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bandwidth)
 
     p = subs.add_parser("thz", help="THz frequency-hopping model sweeps")
-    _add_common(p)
+    _add_sweep_common(p)
     p.add_argument("--axis", choices=THZ_AXES, required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--method", choices=METHODS, default="closed_form")
@@ -705,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thz)
 
     p = subs.add_parser("reduce-order", help="integrate an MD curve over one threshold")
-    _add_common(p, need_seed=False)
+    _add_config(p)
     p.add_argument("--input", required=True, help="CSV/JSON curve file")
     p.add_argument("--p-column", type=str, default="axis")
     p.add_argument("--value-column", type=str, default="R_mc")
@@ -713,13 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="run the acceptance suite")
     _add_common(p)
-    p.add_argument("--quick", action="store_true", help="reduced trial counts")
-    p.add_argument("--absorption-table", type=str, default=None)
-    p.add_argument(
-        "--perturb-theorem2",
-        action="store_true",
-        help="self-test hook: corrupt the multi-interferer factor (must fail)",
-    )
     p.set_defaults(func=cmd_validate)
     return parser
 
@@ -727,7 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_inject_config(list(sys.argv[1:] if argv is None else argv)))
+        argv = list(sys.argv[1:] if argv is None else argv)
+        args = parser.parse_args(_inject_config(parser, argv))
         return args.func(args)
     except (UsageError, ConfigurationError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

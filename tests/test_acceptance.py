@@ -1,0 +1,49 @@
+"""The acceptance suite of ``metarel validate``, run once at its default seed."""
+
+import pytest
+
+from metarel import acceptance
+from metarel import canonical as can
+
+K4_III = (
+    "K4(iii): criterion 1 compares the MC estimate at N1 = 200 with the "
+    "N1 -> infinity closed form; the check, not the program, is at fault"
+)
+
+
+@pytest.fixture(scope="module")
+def ctx():
+    return acceptance.AcceptanceContext(acceptance.DEFAULT_SEED)
+
+
+@pytest.fixture(scope="module")
+def results(ctx):
+    return {cid: fn(ctx) for cid, fn in acceptance.ALL_CRITERIA}
+
+
+@pytest.mark.parametrize(
+    "cid",
+    [
+        pytest.param(cid, marks=pytest.mark.xfail(strict=True, reason=K4_III)) if cid == 1
+        else cid
+        for cid, _ in acceptance.ALL_CRITERIA
+    ],
+)
+def test_criterion_passes(results, cid):
+    result = results[cid]
+    assert result.passed, result.report()
+
+
+def test_flipped_multi_interferer_factor_fails_criterion_5(results, ctx, monkeypatch):
+    # E^(-1/alpha) in place of E^(1/alpha) lowers the effective threshold, so
+    # the approximation rises above the single-interferer form and the MC;
+    # the MC grids were drawn by the unpatched suite and are reused
+    def flipped(alpha, zeta):
+        return can.interference_ratio_expectation(alpha, zeta) ** (-1.0 / alpha)
+
+    assert results[5].passed
+    monkeypatch.setattr(can, "_multi_p1hat_factor", flipped)
+    result = acceptance.criterion_5(ctx)
+    assert not result.passed
+    (ordering,) = [line for line in result.lines if line.label.startswith("multi <= single")]
+    assert not ordering.passed, ordering.detail

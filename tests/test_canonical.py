@@ -332,14 +332,14 @@ class TestMonteCarlo:
             )
 
     def test_extreme_qos_degenerates_exactly(self):
-        lo = can.first_order_md_mc(
-            unit_params(1.0, q=1e300), 1e300, 0.5, (50, 200), seed=30
+        lo = can.first_order_md_mc_grid(
+            unit_params(1.0, q=1e300), 1e300, (0.5,), (50, 200), seed=30
         )
-        hi = can.first_order_md_mc(
-            unit_params(1.0, q=1e-300), 1e-300, 0.5, (50, 200), seed=31
+        hi = can.first_order_md_mc_grid(
+            unit_params(1.0, q=1e-300), 1e-300, (0.5,), (50, 200), seed=31
         )
-        assert lo.value == 0.0
-        assert hi.value == 1.0
+        assert lo.values[0, 0] == 0.0
+        assert hi.values[0, 0] == 1.0
 
     def test_tie_point_splits_the_atom(self):
         # at p2 = (1 - zeta)^1 the middle-layer estimate sits on an atom of

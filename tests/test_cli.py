@@ -131,6 +131,15 @@ def test_reduce_order_prints_a_plain_float(tmp_path, capsys, fmt):
     assert out == "0.5519730293839709\n"
 
 
+def test_reduce_order_has_no_out_flag(tmp_path):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("axis,R_mc\n0.3,0.5\n0.5,0.4\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["reduce-order", "--input", str(curve), "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -188,10 +197,30 @@ def test_explicit_flag_overrides_config_file(tmp_path, capsys):
     assert out == run_cli(capsys, CONFIG_ARGV + ["--alpha", "4.0"])[1]
 
 
+# MC at p1 >= EXTREME_P1 is omitted unless --force is set
+FORCE_ARGV = canonical_argv("--grid", "0.5", "--p1", "0.999", "--method", "both",
+                            "--trials", "20,5,20")
+
+
+def test_config_file_sets_a_flag_without_argument(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("force=true\n")
+    code, from_file, _ = run_cli(capsys, FORCE_ARGV + ["--config", str(path)])
+    assert code == 0
+    assert (0, from_file, "") == run_cli(capsys, FORCE_ARGV + ["--force"])
+    path.write_text("force=false\n")
+    assert run_cli(capsys, FORCE_ARGV + ["--config", str(path)])[1] != from_file
+
+
 @pytest.mark.parametrize(
     "text, code, prefix",
-    [("alpha 3.0\n", 2, "usage error: "), (None, 4, "ingest error: ")],
-    ids=["no-equals", "missing"],
+    [
+        ("alpha 3.0\n", 2, "usage error: "),
+        ("bogus=1\n", 2, "usage error: "),
+        ("force=yes\n", 2, "usage error: "),
+        (None, 4, "ingest error: "),
+    ],
+    ids=["no-equals", "unknown-key", "bad-boolean", "missing"],
 )
 def test_bad_config_file_exits(tmp_path, capsys, text, code, prefix):
     path = tmp_path / "run.cfg"
@@ -231,6 +260,26 @@ def test_sweep_output_is_pinned(argv, spec_hash, digest, capsys):
     assert code == 0
     assert f"# spec_hash={spec_hash}\n" in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _spec_hash_line(capsys, table) -> str:
+    code, out, _ = run_cli(capsys, thz_argv("--scenario", "2", "--axis", "p2", "--grid", "0.5",
+                                            "--absorption-table", str(table), *FIG6_FLAGS))
+    assert code == 0
+    return next(line for line in out.splitlines() if line.startswith("# spec_hash="))
+
+
+def test_spec_hash_follows_table_contents(tmp_path, capsys):
+    copies = [tmp_path / "a" / "valley.csv", tmp_path / "b" / "valley.csv"]
+    for path in copies:
+        path.parent.mkdir()
+        TABLE_VALLEY.save_csv(path)
+    assert _spec_hash_line(capsys, copies[0]) == _spec_hash_line(capsys, copies[1])
+    k = TABLE_VALLEY.k_per_m.copy()
+    k[0] *= 1.01
+    edited = tmp_path / "edited.csv"
+    thz.AbsorptionTable(TABLE_VALLEY.frequency_hz, k).save_csv(edited)
+    assert _spec_hash_line(capsys, edited) != _spec_hash_line(capsys, copies[0])
 
 
 def _scenario2_sweep(table: str, out, fmt: str = "csv") -> str:
