@@ -287,9 +287,11 @@ def canonical_layered_model(
     interferer marks (middle) and Rayleigh fading (inner).
 
     A mark state is the offset of the first marked point in single mode and
-    the mask of marked non-serving points in multi mode.  A fading state is
-    the (signal power, interference power) pair that fixes the SIR; only
-    the serving fading and the marked interferers' fadings are drawn.
+    the mask of marked non-serving points, as 0/1 floats, in multi mode.  At
+    zeta = 1 every point is marked, so neither mode draws a mark.  A fading
+    state is the (signal power, interference power) pair that fixes the
+    SIR; only the serving fading and the marked interferers' fadings are
+    drawn.
     ``inner="exact_binomial"`` adds the exact hook, which samples
     Binomial(N0, P1)/N0 with the exact conditional success probability P1;
     the estimator's law is unchanged.
@@ -307,7 +309,11 @@ def canonical_layered_model(
     def sample_mark_rows(rng, above, size):
         if single:
             return _sample_first_offsets(size, zeta, rng)
-        return rng.random(size + (params.n_points - 1,)) < zeta
+        shape = size + (params.n_points - 1,)
+        if zeta == 1.0:
+            return np.ones(shape)
+        u = rng.random(shape)
+        return np.less(u, zeta, out=u)  # 0/1 floats, ready for the hook's matmul
 
     def sample_powers(rng, above, size):
         distances, marks = above
@@ -344,7 +350,7 @@ def canonical_layered_model(
             )
             return np.where(valid, 1.0 / (1.0 + q * ratio), 1.0)
         v = np.log1p(q * (dist_sq[:, :1] / dist_sq[:, 1:]) ** (0.5 * alpha))
-        return np.exp(-(marks.astype(float) @ v[:, :, None])[..., 0])
+        return np.exp(-(marks @ v[:, :, None])[..., 0])
 
     return LayeredModel(
         layers=(sample_powers, sample_mark_rows, sample_distances),

@@ -15,7 +15,7 @@ One engine serves every order and every threshold grid.  Its batch
 contract:
 
 - Blocks.  The outer draws are taken in consecutive blocks of B, where
-  B = max(1, 256 // rows) and rows = N_(n-1)...N_1, times N0 unless the
+  B = max(1, 1024 // rows) and rows = N_(n-1)...N_1, times N0 unless the
   model has an exact hook, counts the inner rows one outer draw
   materializes.  B is fixed by the model and the trial counts alone.
 - Stream address.  Block b of an order-k estimate draws everything in it
@@ -66,7 +66,7 @@ __all__ = [
 
 MAX_LAYERS = 4
 # Inner rows materialized per block of outer draws (see the module docstring).
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 1024
 
 # Batch sampler: sampler(rng, above, size) -> states of shape size + state shape.
 LayerSampler = Callable[[np.random.Generator, tuple, tuple], np.ndarray]

@@ -290,10 +290,14 @@ class TestMonteCarlo:
         sigma = math.hypot(float(grid.stderr[0, 0]), est.stderr)
         assert abs(float(grid.values[0, 0]) - est.value) <= 3.0 * max(sigma, 0.02)
 
-    @pytest.mark.parametrize("mode", can.MODES)
-    def test_exact_hook_matches_per_row_product_form(self, mode):
+    @pytest.mark.parametrize(
+        "mode, zeta",
+        [pytest.param(mode, 0.1, id=mode) for mode in can.MODES]
+        + [pytest.param(mode, 1.0, id=f"{mode}-full_zeta") for mode in can.MODES],
+    )
+    def test_exact_hook_matches_per_row_product_form(self, mode, zeta):
         # the row-batched hook against the product form, one mark row at a time
-        prm = unit_params(0.1, mode=mode, n_points=20)
+        prm = unit_params(zeta, mode=mode, n_points=20)
         exact = can.canonical_layered_model(prm, 1.0, inner="exact_binomial").exact
         sample_marks = can.canonical_layered_model(prm, 1.0).layers[1]
         cfg = PppConfig(intensity=prm.intensity, n_points=prm.n_points)
@@ -301,9 +305,11 @@ class TestMonteCarlo:
         p1 = exact(derive_rng(34), (d,), (6, 40))
         marks = sample_marks(derive_rng(34), (d,), (6, 40))
         assert p1.shape == (6, 40)
-        if mode == "single_interferer":
+        if mode == "single_interferer" and zeta < 1.0:
             # both an interferer inside the window and none occur
             assert (marks < prm.n_points).any() and (marks >= prm.n_points).any()
+        if zeta == 1.0:
+            assert np.all(marks == 1)
         for i, j in np.ndindex(p1.shape):
             active = np.zeros(prm.n_points, dtype=bool)
             if mode == "single_interferer":
@@ -313,6 +319,15 @@ class TestMonteCarlo:
                 active[1:] = marks[i, j]
             want = can.conditional_link_success(d[i], active, 1.0, prm.alpha)
             assert p1[i, j] == pytest.approx(want, rel=1e-12)
+
+    def test_multi_mode_full_zeta_draws_no_marks(self):
+        prm = unit_params(1.0, mode="multi_interferer", n_points=20)
+        sample_marks = can.canonical_layered_model(prm, 1.0).layers[1]
+        rng = derive_rng(35)
+        before = rng.bit_generator.state
+        marks = sample_marks(rng, (), (3, 4))
+        assert rng.bit_generator.state == before
+        assert marks.shape == (3, 4, prm.n_points - 1) and np.all(marks == 1.0)
 
     def test_blocks_of_one_outer_draw_are_pinned(self):
         # N1 * N0 = 10000 sampled inner rows per outer draw make blocks of one

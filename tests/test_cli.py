@@ -240,7 +240,7 @@ def test_bad_config_file_exits(tmp_path, capsys, text, code, prefix):
             canonical_argv("--method", "both", "--grid", "0.3,0.5,0.8", "--zeta", "0.5",
                            "--trials", "200,20,200"),
             "08df42c88d76d95c",
-            "3e5455b86949e5aa94db5209fb7004086a125f917956fa32483f2c280e1865a7",
+            "269f28735515f0ff2514993f670439825618e90037c52060b326cbd08d34ecb2",
         ),
         (
             bandwidth_argv("--targets", "0.3,0.6,0.9", "--zeta", "0.5", "--w-low", "3e4"),

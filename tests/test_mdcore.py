@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metarel import mdcore
 from metarel.errors import ConfigurationError, DomainError
 from metarel.mdcore import (
     LayeredModel,
@@ -197,9 +198,9 @@ class TestNestedEstimate:
             return np.broadcast_to(above[0][:, None], size)
 
         hooked = LayeredModel(layers=(_nothing, _nothing, coin.layers[1]), exact=exact)
-        # N1 = 50 draws the outer coin in blocks of 256 // 50 = 5, N1 = 300
-        # one at a time; the law is the same
-        for n1 in (50, 300):
+        # N1 = 50 draws the outer coin in blocks of 1024 // 50 = 20, N1 =
+        # _BLOCK_ROWS one at a time; the law is the same
+        for n1 in (50, mdcore._BLOCK_ROWS):
             est = nested_md_estimate(
                 hooked, MdQuery(q=0.5, p=(0.5, 0.5), trials=(500, n1, 2000)), seed=12
             )

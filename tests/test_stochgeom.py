@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,13 @@ class TestOrderedDistances:
         batch = sample_ordered_distances(UNIT_CFG, derive_rng(9, 3), (3, 4))
         assert batch.shape == (3, 4, UNIT_CFG.n_points)
         assert np.array_equal(batch.reshape(loop.shape), loop)
+
+    def test_in_place_sampler_equals_plain_formula(self):
+        cfg = PppConfig(intensity=2e-3, n_points=64)
+        got = sample_ordered_distances(cfg, derive_rng(9, 4), (5, 3))
+        gaps = derive_rng(9, 4).standard_exponential((5, 3, cfg.n_points))
+        want = np.sqrt(np.cumsum(gaps / (cfg.intensity * math.pi), axis=-1))
+        assert np.array_equal(got, want)
 
 
 class TestNearestDistanceCdf:
@@ -175,6 +183,17 @@ class TestThinnedRatioSum:
         target = 5.0
         assert abs(est_fix - target) / target < 0.02
         assert (target - est_raw) / target > 0.05
+
+    def test_chunked_draws_bound_memory(self):
+        # one call at criterion 2's size; a single chunk of all 2e7 gaps
+        # would peak near 611 MB
+        tracemalloc.start()
+        try:
+            thinned_ratio_sum_mc(3.5, 0.5, 200, 100_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_thinning_theorem_consistency(self):
         # marks-based thinning agrees with the direct thinned sampler:
