@@ -159,7 +159,7 @@ class AcceptanceContext:
             FIG6_P,
             GRID_TRIALS,
             self.seed + 3,
-            exact_inner=True,
+            inner="exact_binomial",
         )
 
 

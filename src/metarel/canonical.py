@@ -178,8 +178,15 @@ def r2_single_interferer(
 
 
 def interference_ratio_expectation(alpha: float, zeta: float) -> float:
-    """(1 + delta*zeta)/(1 - delta) with delta = 2/alpha, the tight
-    approximation of E[sum_i (Rt_1/Rt_i)^alpha] over the thinned process."""
+    """E[sum_i (Rt_1/Rt_i)^alpha] over the thinned process, exactly
+    (1 + delta*zeta)/(1 - delta) with delta = 2/alpha.
+
+    At unit lambda*pi, X = Rt_1^2 has E[X] = 1 + 1/zeta.  Beyond Rt_1 the
+    thinned points form a renewal process in squared distance whose renewal
+    density is zeta, so the sum has mean 1 + zeta*E[X]/(alpha/2 - 1).  The
+    multi-interferer closed form is approximate only through the
+    mean-interference substitution of :func:`_multi_p1hat_factor`.
+    """
     if alpha <= 2.0:
         raise DomainError("alpha must exceed 2")
     if not 0.0 < zeta <= 1.0:

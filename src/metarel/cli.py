@@ -558,7 +558,11 @@ def cmd_thz(args) -> int:
         if want_mc:
             p1s = grid if args.axis == "p1" else (args.p1,)
             p2s = grid if args.axis == "p2" else (args.p2,)
-            mc_grid = thz.run_thz_mc_grid(params, table, p1s, p2s, trials, args.seed)
+            # the exact hook has the sampled fading loop's law at a fraction
+            # of its cost
+            mc_grid = thz.run_thz_mc_grid(
+                params, table, p1s, p2s, trials, args.seed, inner="exact_binomial"
+            )
             columns += ["R_mc", "stderr"]
         for g in grid:
             p1 = g if args.axis == "p1" else args.p1

@@ -7,7 +7,9 @@ and quantile evaluated through scipy.special, and the second-order MD
 reliability: a Lambert-W closed form when the absorption coefficient k(f)
 increases monotonically over the band (Scenario 1), and root
 classification plus radial integration when k(f) is valley-shaped
-(Scenario 2).
+(Scenario 2).  The Scenario-2 frequency crossings are closed-form Lambert-W
+(and Wright omega) roots on each linear segment of k(f); only the radii
+where the carrier-layer indicator flips are bisected.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     ScenarioError,
 )
 from .mdcore import LayeredModel, MdEstimate, MdQuery, nested_md_estimate
-from .canonical import GridEstimate, _grid_estimate, qos_threshold
+from .canonical import INNER_MODES, GridEstimate, _grid_estimate, qos_threshold
 from .specfun import (
     MarcumApproxCoeffs,
     calibrate_marcum_coeffs,
@@ -423,22 +425,77 @@ def _bisect(
     return 0.5 * (a + b)
 
 
-def _metric_roots(
+def _lambert_wm1_log(z: np.ndarray) -> np.ndarray:
+    """v > 1 with v - ln v = z for z >= 1, that is -W_-1(-e^-z), in log form
+    so that e^-z never underflows.
+
+    Newton from max(z + ln z, 1 + sqrt(2 (z - 1))), two lower bounds of the
+    root: the first step lands above it, and from there the convex residual
+    makes every step fall monotonically onto it.
+    """
+    v = np.maximum(z + np.log(z), 1.0 + np.sqrt(2.0 * np.maximum(z - 1.0, 0.0)))
+    for _ in range(50):
+        step = (v - np.log(v) - z) / (1.0 - 1.0 / v)
+        v = v - step
+        if not np.any(np.abs(step) > 4.0 * np.finfo(float).eps * v):
+            break
+    return v
+
+
+def _piece_roots(
     fa: np.ndarray,
     fb: np.ndarray,
     r: np.ndarray,
     target: float,
     table: AbsorptionTable,
+    f0: np.ndarray,
+    k0: np.ndarray,
+    slope: np.ndarray,
 ) -> np.ndarray:
-    """Root of g(f; r) = target in each bracket [fa, fb] on which g(.; r)
-    changes sign, one batched bisection of at most 80 steps."""
-    return _bisect(
-        fa,
-        fb,
-        lambda f: attenuation_metric(f, r, table) > target,
-        attenuation_metric(fa, r, table) > target,
-        80,
-    )
+    """Root of g(f; r) = target on each monotone piece [fa, fb] of g(.; r),
+    on the segment of k(f) that starts at (f0, k0) with slope ``slope``.
+
+    There k(f) = k0 + slope (f - f0), so with beta = slope r / 2 and
+    y = beta f the equation reads y + ln|y| = L, where
+    L = ln|beta| + ln target - ln r - k0 r / 2 + beta f0.  It is solved in
+    this log form, since beta f reaches the thousands and W(beta C) / beta
+    overflows: by the Wright omega function for a rising segment, by W0 of
+    -e^L left of the turn f* = -1/beta of a falling one and by W_-1 right of
+    it, and by f = e^(L - ln|beta|) on a flat one.  One Newton step on
+    ln g(f; r) = ln target then polishes each root against g itself.
+
+    Near the turn the equation loses its simple root (scipy's W0 is NaN at
+    the float nearest -1/e).  A root that comes out non-finite or outside
+    its piece, there or by rounding at a piece end, is found instead by the
+    shared bisection on g.
+    """
+    beta = 0.5 * slope * r
+    log_c = math.log(target) - np.log(r) - 0.5 * k0 * r + beta * f0
+    y = np.zeros_like(r)
+    rising, falling = beta > 0.0, beta < 0.0
+    left = falling & (beta * (0.5 * (fa + fb)) > -1.0)  # the piece's side of f*
+    right = falling & ~left
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        big_l = np.log(np.abs(beta)) + log_c
+        y[rising] = special.wrightomega(big_l[rising])
+        y[left] = special.lambertw(-np.exp(big_l[left])).real
+        y[right] = -_lambert_wm1_log(-big_l[right])
+        f = np.where(beta == 0.0, np.exp(log_c), y / np.where(beta == 0.0, 1.0, beta))
+        ok = (fa <= f) & (f <= fb)
+        f = np.where(ok, f, fa)  # keep k_at's argument inside the table
+        g = attenuation_metric(f, r, table)
+        f = f - f * np.log(g / target) / (1.0 + beta * f)
+    ok &= (fa <= f) & (f <= fb)
+    if not np.all(ok):
+        bad = ~ok
+        f[bad] = _bisect(
+            fa[bad],
+            fb[bad],
+            lambda x: attenuation_metric(x, r[bad], table) > target,
+            attenuation_metric(fa[bad], r[bad], table) > target,
+            80,
+        )
+    return f
 
 
 def _valley_band(
@@ -467,7 +524,8 @@ def _crossings(
     f* = -2 / (r s) (only possible for negative slope s).  Splitting each
     segment at its turn, where the turn lies inside, gives the monotone
     pieces of g(.; r); a segment without a turn gets an empty second piece.
-    The pieces whose ends straddle the target are bisected together.
+    The root on each piece whose ends straddle the target is the closed
+    form of :func:`_piece_roots`, all radii and pieces in one batch.
 
     Returns the roots, ascending in the first ``count`` columns of an (n, 2)
     array, the root counts and g at the lower band edge.  More than two
@@ -490,9 +548,17 @@ def _crossings(
         worst = int(count[np.argmax(count > 2)])
         raise ScenarioError(f"{worst} threshold crossings; expected at most 2")
     rows, cols = np.nonzero(flips)
+    seg = cols // 2
     roots = np.full((r.size, 2), np.nan)
-    roots[rows, np.cumsum(flips, axis=1)[rows, cols] - 1] = _metric_roots(
-        ends[rows, cols], ends[rows, cols + 1], r[rows], target, table
+    roots[rows, np.cumsum(flips, axis=1)[rows, cols] - 1] = _piece_roots(
+        ends[rows, cols],
+        ends[rows, cols + 1],
+        r[rows],
+        target,
+        table,
+        knots[seg],
+        table.k_at(knots)[seg],
+        slopes[seg],
     )
     return roots, count, g[:, 0]
 
@@ -566,8 +632,8 @@ def roots_scenario2(
 
     The array core (:func:`_crossings`) at the single radius r: the
     piecewise-monotone decomposition of g is scanned for sign changes and
-    each bracket is bisected; more than two roots means the table does not
-    have the assumed valley shape.
+    each bracket's root is taken in closed form; more than two roots means
+    the table does not have the assumed valley shape.
     """
     knots, slopes = _valley_band(params, table)
     if r < 0.0:
@@ -616,13 +682,15 @@ def r2_scenario2(
     The radial indicator 1[P2(r) > p2] is evaluated, as one array call each,
     on a coarse midpoint grid of step dr (default 0.05/sqrt(lambda pi)) and
     on a fine grid of step dr/2, both out to the radius where the
-    nearest-distance tail falls below ``tail_mass``.  The indicator flips of
-    both grids are refined together by one batched bisection of at most 60
-    steps, which stops early once no bracket shrinks any more (a converged
-    bracket is a fixed point of the update, so the result is that of the
-    full 60 steps).  The nearest-distance density is integrated exactly over
-    the resulting super-level intervals of each grid.  The fine result must
-    be within 1e-3 of the coarse one, otherwise an accuracy error is raised.
+    nearest-distance tail falls below ``tail_mass``.  Each evaluation takes
+    the frequency crossings of every radius in closed form; only the
+    indicator flips of both grids are bisected, together, by one batched
+    bisection of at most 60 steps, which stops early once no bracket shrinks
+    any more (a converged bracket is a fixed point of the update, so the
+    result is that of the full 60 steps).  The nearest-distance density is
+    integrated exactly over the resulting super-level intervals of each
+    grid.  The fine result must be within 1e-3 of the coarse one, otherwise
+    an accuracy error is raised.
     g(f; r) increases in r pointwise, so P2(r) is non-increasing and the
     super-level set is typically the single interval [0, r*).
     """
@@ -674,15 +742,17 @@ def r2_scenario2(
 
 
 def thz_layered_model(
-    params: ThzParams, table: AbsorptionTable, exact_inner: bool = False
+    params: ThzParams, table: AbsorptionTable, inner: str = "sampled"
 ) -> LayeredModel:
     """LayeredModel with layers (Rician fading power, carrier frequency,
     nearest-BS distance), each state an array of those values.
 
-    ``exact_inner`` adds the exact hook, which draws one carrier frequency
-    per inner trial and returns the Marcum success probability
+    ``inner="exact_binomial"`` adds the exact hook, which draws one carrier
+    frequency per inner trial and returns the Marcum success probability
     :func:`p1_thz` at it.
     """
+    if inner not in INNER_MODES:
+        raise DomainError(f"inner must be one of {INNER_MODES}")
     lo, hi = params.band()
     if not table.covers(lo, hi):
         raise ConfigurationError("absorption table does not cover the band")
@@ -707,7 +777,7 @@ def thz_layered_model(
     return LayeredModel(
         layers=(sample_fading, sample_freq, sample_distance),
         qos=qos,
-        exact=exact if exact_inner else None,
+        exact=exact if inner == "exact_binomial" else None,
     )
 
 
@@ -716,19 +786,20 @@ def run_thz_mc(
     table: AbsorptionTable,
     query: MdQuery,
     seed: int,
-    exact_inner: bool = False,
+    inner: str = "sampled",
 ) -> MdEstimate:
     """Second-order MD reliability of the THz model by nested MC.
 
-    With ``exact_inner`` the fading loop is replaced by Binomial(N0, P1)/N0
-    sampling with the exact Marcum success probability P1, which has the
-    same law; the default runs the full three-loop estimator.
+    With ``inner="exact_binomial"`` the fading loop is replaced by
+    Binomial(N0, P1)/N0 sampling with the exact Marcum success probability
+    P1, which has the same law; the default runs the full three-loop
+    estimator.
     """
     if len(query.p) != 2:
         raise ConfigurationError("THz MC is second order: need two thresholds")
     if abs(query.q - params.qos()) > 1e-12 * max(1.0, abs(params.qos())):
         raise ConfigurationError("query.q must equal the params QoS threshold")
-    return nested_md_estimate(thz_layered_model(params, table, exact_inner), query, seed)
+    return nested_md_estimate(thz_layered_model(params, table, inner), query, seed)
 
 
 def run_thz_mc_grid(
@@ -738,10 +809,11 @@ def run_thz_mc_grid(
     p2_grid: Sequence[float],
     trials: tuple[int, int, int],
     seed: int,
-    exact_inner: bool = False,
+    inner: str = "sampled",
 ) -> GridEstimate:
-    """Second-order THz estimates over a (p1, p2) grid, one shared sample set."""
-    model = thz_layered_model(params, table, exact_inner)
+    """Second-order THz estimates over a (p1, p2) grid, one shared sample set;
+    ``inner`` as in :func:`run_thz_mc`."""
+    model = thz_layered_model(params, table, inner)
     return _grid_estimate(model, params.qos(), p1_grid, p2_grid, trials, seed)
 
 

@@ -231,6 +231,22 @@ def test_bad_config_file_exits(tmp_path, capsys, text, code, prefix):
     assert_one_line_error(err, prefix)
 
 
+# the built-in valley table at a fig-6 operating point, closed form and MC
+THZ_S2_BOTH_ARGV = thz_argv("--scenario", "2", "--axis", "p2", "--grid", "0.3,0.7",
+                            "--method", "both", "--trials", "200,20,200", *FIG6_FLAGS)
+
+
+def test_thz_mc_runs_on_the_exact_hook(monkeypatch, capsys):
+    # the exact hook draws no fading power; the sampled fading loop would
+    def no_fading(*args, **kwargs):
+        raise AssertionError("the THz CLI sampled the fading layer")
+
+    monkeypatch.setattr(thz, "sample_rician_power", no_fading)
+    code, out, _ = run_cli(capsys, THZ_S2_BOTH_ARGV)
+    assert code == 0
+    assert out.splitlines()[-3] == "axis,R,R_mc,stderr"
+
+
 # spec_hash and the sha256 of stdout for one sweep per command: any change
 # to the emitted bytes, including the hash payload, shows here
 @pytest.mark.parametrize(
@@ -252,8 +268,13 @@ def test_bad_config_file_exits(tmp_path, capsys, text, code, prefix):
             "8c12f34189e0188e",
             "220ba0e63c51c7313f9a232da07adfa7fd46463d95f239ede399c70c178cfaa9",
         ),
+        (
+            THZ_S2_BOTH_ARGV,
+            "11e7afb6de38ad69",
+            "95afbfaef7a8ed55f98ec9f6d5e509f4b5d1a13c08628296dddf7dbf3c75ba26",
+        ),
     ],
-    ids=["canonical-both", "bandwidth", "thz-scenario1"],
+    ids=["canonical-both", "bandwidth", "thz-scenario1", "thz-scenario2-both"],
 )
 def test_sweep_output_is_pinned(argv, spec_hash, digest, capsys):
     code, out, _ = run_cli(capsys, argv)

@@ -506,6 +506,103 @@ class TestScenario2:
         assert a == pytest.approx(b, abs=1e-3)
 
 
+def one_segment(k_lo: float, k_hi: float) -> thz.AbsorptionTable:
+    return thz.AbsorptionTable(
+        frequency_hz=np.array([340e9, 375e9]), k_per_m=np.array([k_lo, k_hi])
+    )
+
+
+def bisect_root(table, r: float, target: float, lo: float, hi: float) -> float:
+    """Oracle: plain bisection of g(.; r) = target on a bracket where g
+    crosses the target once."""
+    rising = thz.attenuation_metric(lo, r, table) < target
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if (thz.attenuation_metric(mid, r, table) < target) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def bisect_calls(monkeypatch):
+    """Sizes of the batches handed to thz._bisect, which the crossings use
+    only as their fallback."""
+    calls = []
+    bisect = thz._bisect
+
+    def counting(a, *args):
+        calls.append(a.size)
+        return bisect(a, *args)
+
+    monkeypatch.setattr(thz, "_bisect", counting)
+    return calls
+
+
+class TestClosedFormCrossings:
+    # one linear segment of k(f) over the band 340-375 GHz per case; the turn
+    # of a falling segment (slope -1.9/35 per GHz) is f* = -2 / (r s), so
+    # r = 0.05 puts it above the band, r = 90 below (where beta f is about
+    # -870 and e^L underflows) and r = 0.1035 at 356 GHz
+    @pytest.mark.parametrize(
+        "k_lo, k_hi, r, f_true, n_roots",
+        [
+            (0.1, 2.0, 40.0, 357e9, 1),
+            (2.0, 0.1, 0.05, 357e9, 1),
+            (2.0, 0.1, 90.0, 357e9, 1),
+            (0.3, 0.3, 20.0, 357e9, 1),
+            (2.0, 0.1, 0.1035, None, 2),
+        ],
+        ids=["rising", "falling-left-of-turn", "falling-right-of-turn", "flat", "near-turn"],
+    )
+    def test_roots_match_bisection_per_branch(
+        self, k_lo, k_hi, r, f_true, n_roots, bisect_calls
+    ):
+        table = one_segment(k_lo, k_hi)
+        prm = thz.ThzParams()
+        knots, slopes = thz._valley_band(prm, table)
+        brackets = [(prm.f_low_hz, prm.f_high_hz)]
+        if f_true is None:
+            # the target sits 1e-6 below g at the turn, so the two roots lie
+            # about 1.4e-3 on either side of it, on the W0 and W_-1 branches
+            f_turn = -2.0 / (r * float(slopes[0]))
+            assert prm.f_low_hz < f_turn < prm.f_high_hz
+            target = thz.attenuation_metric(f_turn, r, table) * (1.0 - 1e-6)
+            brackets = [(prm.f_low_hz, f_turn), (f_turn, prm.f_high_hz)]
+        else:
+            target = thz.attenuation_metric(f_true, r, table)
+        roots, count, _ = thz._crossings(np.array([r]), target, table, knots, slopes)
+        assert int(count[0]) == n_roots
+        assert bisect_calls == []  # every root from the closed form
+        for root, (lo, hi) in zip(roots[0, :n_roots].tolist(), brackets):
+            assert lo <= root <= hi
+            want = bisect_root(table, r, target, lo, hi)
+            assert root == pytest.approx(want, rel=1e-12)
+        if f_true is not None:
+            assert roots[0, 0] == pytest.approx(f_true, rel=1e-12)
+
+    def test_root_at_the_turn_falls_back_to_bisection(self, bisect_calls):
+        # the target equals g at the turn, the end of the piece left of it:
+        # W0's argument rounds onto its branch point -1/e there, where scipy
+        # returns NaN, so the root comes from the shared bisection, and it
+        # stays inside the piece
+        table = one_segment(2.0, 0.1)
+        r = np.array([0.105])
+        slope = (0.1 - 2.0) / 35e9
+        f_turn = -2.0 / (0.105 * slope)
+        target = thz.attenuation_metric(f_turn, 0.105, table)
+        fa, fb = np.array([340e9]), np.array([f_turn])
+        (root,) = thz._piece_roots(
+            fa, fb, r, target, table, fa, np.array([2.0]), np.array([slope])
+        )
+        assert bisect_calls == [1]
+        assert 340e9 <= root <= f_turn
+        assert root == pytest.approx(f_turn, rel=1e-7)
+
+
 class TestThzMonteCarlo:
     def test_exact_and_sampled_inner_agree(self):
         prm = thz.ThzParams(m_shape=1)
@@ -519,7 +616,7 @@ class TestThzMonteCarlo:
             (0.5,),
             (400, 80, 400),
             seed=44,
-            exact_inner=True,
+            inner="exact_binomial",
         )
         sigma = math.hypot(float(a.stderr[0, 0]), float(b.stderr[0, 0]))
         assert abs(float(a.values[0, 0]) - float(b.values[0, 0])) <= 3.0 * max(
@@ -542,7 +639,7 @@ class TestThzMonteCarlo:
         # 2 (K + 1) h is noncentral chi-square with 2 degrees of freedom and
         # noncentrality 2K, so P(h g > q) = ncx2.sf(2 (K + 1) q / g, 2, 2K)
         prm = thz.ThzParams(m_shape=1)
-        exact = thz.thz_layered_model(prm, TABLE_VALLEY, exact_inner=True).exact
+        exact = thz.thz_layered_model(prm, TABLE_VALLEY, inner="exact_binomial").exact
         r = np.array([10.0, 45.0, 55.0, 60.0])
         p1 = exact(np.random.default_rng(48), (r,), (4, 5))
         f = thz.sample_carrier(np.random.default_rng(48), prm, (4, 5))
@@ -563,6 +660,10 @@ class TestThzMonteCarlo:
             seed=47,
         )
         assert est.value == 1.0
+
+    def test_inner_mode_is_validated(self):
+        with pytest.raises(DomainError, match="inner must be one of"):
+            thz.thz_layered_model(thz.ThzParams(), TABLE_VALLEY, inner="exact")
 
     def test_band_coverage_enforced(self):
         small = flat_table(0.1, 345e9, 360e9)
