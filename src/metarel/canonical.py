@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, DomainError, SearchError
 from .mdcore import LayeredModel, MdEstimate, MdQuery, nested_md_estimate, nested_md_grid
@@ -111,8 +110,8 @@ def p1_hat(p1: float, q: float, alpha: float) -> float:
         raise DomainError("p1 must lie strictly in (0, 1)")
     if q <= 0.0 or not math.isfinite(q):
         raise DomainError("q must be positive and finite")
-    if alpha <= 2.0:
-        raise DomainError("alpha must exceed 2")
+    if not (math.isfinite(alpha) and alpha > 2.0):
+        raise DomainError("alpha must be finite and exceed 2")
     return (p1 * q / (1.0 - p1)) ** (1.0 / alpha)
 
 
@@ -187,8 +186,8 @@ def interference_ratio_expectation(alpha: float, zeta: float) -> float:
     multi-interferer closed form is approximate only through the
     mean-interference substitution of :func:`_multi_p1hat_factor`.
     """
-    if alpha <= 2.0:
-        raise DomainError("alpha must exceed 2")
+    if not (math.isfinite(alpha) and alpha > 2.0):
+        raise DomainError("alpha must be finite and exceed 2")
     if not 0.0 < zeta <= 1.0:
         raise DomainError("zeta must lie in (0, 1]")
     delta = 2.0 / alpha
@@ -245,6 +244,8 @@ def first_order_reliability(
     closed form: x / (1 - (1-zeta)(1-x)) with x = phat_eff^-2 (1 if x = 1)."""
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}")
+    if not 0.0 < zeta <= 1.0:
+        raise DomainError("zeta must lie in (0, 1]")
     x = _success_atom(p1, q, alpha, zeta, mode)
     if x >= 1.0:
         return 1.0
@@ -258,6 +259,14 @@ def zeroth_order_reliability_closed(
     first-order closed form, by adaptive quadrature."""
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}")
+    if q <= 0.0 or not math.isfinite(q):
+        raise DomainError("q must be positive and finite")
+    if not (math.isfinite(alpha) and alpha > 2.0):
+        raise DomainError("alpha must be finite and exceed 2")
+    if not 0.0 < zeta <= 1.0:
+        raise DomainError("zeta must lie in (0, 1]")
+    from scipy.integrate import quad
+
     factor = _multi_p1hat_factor(alpha, zeta) if mode == "multi_interferer" else 1.0
     c = factor ** (-alpha)
     p1_break = c / (q + c)  # below this, phat_eff <= 1 and the integrand is 1

@@ -4,7 +4,8 @@ The first-order Marcum Q-function, its inverse in b and its exponential
 approximation exp(-e^nu * b^mu), and the principal Lambert W branch.  The
 kernels are thin wrappers over :mod:`scipy.special` that check their
 domain: violations raise :class:`~metarel.errors.DomainError` rather than
-propagating NaN.
+propagating NaN.  scipy is imported inside the kernels that call it, so
+importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import chndtr, lambertw
 
 from .errors import CalibrationError, DomainError
 
@@ -91,6 +90,8 @@ def marcum_q1(a, b):
     for name, x in (("a", a), ("b", b)):
         if not ((x >= 0.0) & (x < math.inf)).all():
             raise DomainError(f"marcum_q1 requires finite {name} >= 0")
+    from scipy.special import chndtr
+
     q = 1.0 - chndtr(b * b, 2, a * a)
     return float(q) if q.ndim == 0 else q
 
@@ -114,6 +115,8 @@ def marcum_q1_inverse_b(a: float, p: float, tol: float = 1e-10) -> float:
         raise DomainError("p must lie strictly in (0, 1)")
     if not 1e-15 <= tol < 1.0:
         raise DomainError("tol must lie in [1e-15, 1)")
+    from scipy.optimize import brentq
+    from scipy.special import chndtr
 
     def excess(b: float) -> float:
         # increasing in b, negative at b = 0 and zero at b*
@@ -188,4 +191,6 @@ def lambert_w0(x: float) -> float:
         x = -_INV_E
     if x == -_INV_E:
         return -1.0
+    from scipy.special import lambertw
+
     return float(lambertw(x).real)

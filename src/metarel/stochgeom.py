@@ -141,32 +141,46 @@ def thinned_ratio_sum_mc(
 
     Realizations are drawn in chunks of about a million gaps, so memory
     stays bounded whatever ``n_realizations`` is; each chunk draws its
-    serving distances and then its gaps from the one seeded stream.
+    serving distances and then its gaps from the one seeded stream.  A
+    chunk works in place on the one array of its gaps, which becomes the
+    squared distances and then the ratio terms; the first and last
+    squared distances are copied out for the tail term.
 
-    Returns (mean, standard error).
+    Returns (mean, standard error).  ``alpha`` must be finite and exceed 2,
+    and both counts must be >= 1.
     """
-    if alpha <= 2.0:
-        raise DomainError("alpha must exceed 2")
+    if not (math.isfinite(alpha) and alpha > 2.0):
+        raise DomainError("alpha must be finite and exceed 2")
     if not 0.0 < zeta <= 1.0:
         raise DomainError("zeta must lie in (0, 1]")
+    if n_thinned < 1:
+        raise DomainError("n_thinned must be >= 1")
+    if n_realizations < 1:
+        raise DomainError("n_realizations must be >= 1")
     rng = derive_rng(seed, 0xD157)
     half_alpha = 0.5 * alpha
     total = 0.0
     total_sq = 0.0
-    chunk = max(1, min(n_realizations, 1_000_000 // max(n_thinned, 1)))
+    chunk = max(1, min(n_realizations, 1_000_000 // n_thinned))
     remaining = n_realizations
     while remaining > 0:
         m = min(chunk, remaining)
         r1sq = rng.standard_exponential(m)
-        gaps = rng.standard_exponential((m, n_thinned)) / zeta
-        rsq = r1sq[:, None] + np.cumsum(gaps, axis=1)
-        s = ((rsq[:, :1] / rsq) ** half_alpha).sum(axis=1)
+        terms = rng.standard_exponential((m, n_thinned))
+        terms /= zeta
+        np.cumsum(terms, axis=1, out=terms)
+        terms += r1sq[:, None]  # squared distances Rt_i^2
+        first = terms[:, 0].copy()
+        last = terms[:, -1].copy()
+        np.divide(first[:, None], terms, out=terms)
+        terms **= half_alpha
+        s = terms.sum(axis=1)
         if tail_correction:
             s += (
                 2.0
                 * zeta
-                * rsq[:, 0] ** half_alpha
-                * rsq[:, -1] ** (1.0 - half_alpha)
+                * first**half_alpha
+                * last ** (1.0 - half_alpha)
                 / (alpha - 2.0)
             )
         total += float(s.sum())

@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     AccuracyError,
@@ -322,6 +321,8 @@ def _band_fraction(f, params: ThzParams) -> np.ndarray:
 def carrier_pdf(f, params: ThzParams):
     """Carrier density in 1/Hz: the Beta(m+1, m+1) density of the band
     fraction, through scipy.special's betaln, divided by the band width."""
+    from scipy import special
+
     u = _band_fraction(f, params)
     m = params.m_shape
     lo, hi = params.band()
@@ -333,6 +334,8 @@ def carrier_pdf(f, params: ThzParams):
 def carrier_cdf(f, params: ThzParams):
     """Carrier CDF: the Beta(m+1, m+1) CDF of the band fraction u,
     scipy.special.betainc(m+1, m+1, u)."""
+    from scipy import special
+
     a = params.m_shape + 1.0
     out = special.betainc(a, a, _band_fraction(f, params))
     return float(out) if out.ndim == 0 else out
@@ -344,6 +347,8 @@ def carrier_cdf_inverse(p: float, params: ThzParams) -> float:
     give the band edges."""
     if not 0.0 <= p <= 1.0:
         raise DomainError("p must lie in [0, 1]")
+    from scipy import special
+
     lo, hi = params.band()
     a = params.m_shape + 1.0
     return float(lo + special.betaincinv(a, a, p) * (hi - lo))
@@ -469,6 +474,8 @@ def _piece_roots(
     its piece, there or by rounding at a piece end, is found instead by the
     shared bisection on g.
     """
+    from scipy import special
+
     beta = 0.5 * slope * r
     log_c = math.log(target) - np.log(r) - 0.5 * k0 * r + beta * f0
     y = np.zeros_like(r)

@@ -169,6 +169,34 @@ class TestInterferenceRatio:
         )
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: can.zeroth_order_reliability_closed(-1.0, 3.5, 0.5), "q must"),
+        (lambda: can.zeroth_order_reliability_closed(math.nan, 3.5, 0.5), "q must"),
+        (lambda: can.zeroth_order_reliability_closed(1.0, 3.5, 0.0), "zeta must"),
+        (lambda: can.zeroth_order_reliability_closed(1.0, 3.5, 1.5), "zeta must"),
+        (lambda: can.first_order_reliability(0.8, 1.0, 3.5, 0.0), "zeta must"),
+        (lambda: can.first_order_reliability(0.8, 1.0, 3.5, math.nan), "zeta must"),
+        (lambda: can.r2_single_interferer(0.8, 0.5, 1.0, math.nan, 0.5), "alpha must"),
+        (lambda: can.interference_ratio_expectation(math.nan, 0.5), "alpha must"),
+    ],
+    ids=[
+        "zeroth-negative-q",
+        "zeroth-nan-q",
+        "zeroth-zero-zeta",
+        "zeroth-zeta-above-one",
+        "first-zero-zeta",
+        "first-nan-zeta",
+        "r2-single-nan-alpha",
+        "ratio-expectation-nan-alpha",
+    ],
+)
+def test_closed_form_domain_errors(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
 class TestMultiInterfererClosedForm:
     def test_saturated_branch(self):
         # inflated threshold <= 1 iff phat <= ((1-d)/(1+d*zeta))^(d/2)

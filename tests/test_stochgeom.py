@@ -186,14 +186,51 @@ class TestThinnedRatioSum:
 
     def test_chunked_draws_bound_memory(self):
         # one call at criterion 2's size; a single chunk of all 2e7 gaps
-        # would peak near 611 MB
+        # would peak near 611 MB, and an array per step of the 1e6-gap
+        # chunks near 31 MB; one buffer per chunk peaks near 15 MB
         tracemalloc.start()
         try:
             thinned_ratio_sum_mc(3.5, 0.5, 200, 100_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize(
+        "args, kwargs, want",
+        [
+            ((3.5, 0.5, 200, 20_000), {"seed": 5}, (3.0118325522165583, 0.011912725589676211)),
+            ((3.0, 0.2, 200, 20_000), {"seed": 5}, (3.4153439222651274, 0.015463861912636883)),
+            (
+                (3.5, 0.5, 50, 3000),
+                {"seed": 9, "tail_correction": False},
+                (2.8427836224140073, 0.026636807864938376),
+            ),
+            ((4.0, 1.0, 7, 12_345), {"seed": 3}, (3.014308279664871, 0.014761375550598407)),
+            ((2.5, 0.3, 3000, 700), {"seed": 11}, (6.5282811081104555, 0.17017664526791282)),
+        ],
+        ids=["multi-chunk", "sparse-zeta", "no-tail", "square-power", "ragged-last-chunk"],
+    )
+    def test_seeded_output_is_pinned(self, args, kwargs, want):
+        # bit for bit: in-place arithmetic must leave every seeded value as
+        # the plain array expressions give it
+        assert thinned_ratio_sum_mc(*args, **kwargs) == want
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_realizations": 0},
+            {"n_thinned": 0},
+            {"alpha": math.nan},
+            {"alpha": 2.0},
+            {"zeta": 0.0},
+        ],
+        ids=["no-realizations", "no-points", "nan-alpha", "alpha-two", "zero-zeta"],
+    )
+    def test_domain(self, kwargs):
+        args = {"alpha": 3.5, "zeta": 0.5, "n_thinned": 20, "n_realizations": 100}
+        with pytest.raises(DomainError):
+            thinned_ratio_sum_mc(**(args | kwargs))
 
     def test_thinning_theorem_consistency(self):
         # marks-based thinning agrees with the direct thinned sampler:
