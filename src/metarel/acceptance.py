@@ -192,23 +192,29 @@ def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
 
 
 def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
-    """Interference-ratio expectation vs its Monte Carlo estimate."""
+    """Interference-ratio expectation vs its Monte Carlo estimate.
+
+    The target (1 + delta zeta)/(1 - delta) is exact and the tail-corrected
+    MC is unbiased for it, so the check is in standard errors.
+    """
     from .stochgeom import thinned_ratio_sum_mc
 
     lines = []
     for alpha in (3.0, 3.5, 4.0):
         for zeta in (0.2, 0.5, 1.0):
-            est, se = thinned_ratio_sum_mc(alpha, zeta, 200, 100_000, seed=ctx.seed + 4)
+            est, se = thinned_ratio_sum_mc(alpha, zeta, 200, 10_000, seed=ctx.seed + 4)
             target = can.interference_ratio_expectation(alpha, zeta)
-            rel = abs(est - target) / target
+            z = abs(est - target) / se
             lines.append(
                 CheckLine(
                     label=f"alpha={alpha} zeta={zeta}",
-                    passed=rel <= 0.03,
-                    detail=f"mc={est:.4f} (se {se:.4f}) target={target:.4f} rel={rel:.2%}",
+                    passed=z <= 4.0,
+                    detail=f"mc={est:.4f} (se {se:.4f}) target={target:.4f} |z|={z:.2f}",
                 )
             )
-    return _all_pass(2, "interference-ratio expectation within 3% of MC", lines)
+    return _all_pass(
+        2, "interference-ratio expectation within 4 standard errors of MC", lines
+    )
 
 
 def criterion_3(ctx: AcceptanceContext) -> CriterionResult:

@@ -96,16 +96,15 @@ def marcum_q1(a, b):
     return float(q) if q.ndim == 0 else q
 
 
-def marcum_q1_inverse_b(a: float, p: float, tol: float = 1e-10) -> float:
+def marcum_q1_inverse_b(a: float, p: float) -> float:
     """The threshold b* > 0 with Q1(a, b*) = p.
 
     The root is bracketed in [0, hi] and refined with Brent's method until
-    the bracket is narrower than ``tol * b*``: ``tol`` bounds the relative
-    error in b, not the residual in Q1 (Q1 is flat in b near p = 1, so a
-    small residual says little about b there).  For p > 1/2 the equation is
+    the bracket is narrower than 1e-10 * b*: that bounds the relative error
+    in b, not the residual in Q1 (Q1 is flat in b near p = 1, so a small
+    residual says little about b there).  For p > 1/2 the equation is
     solved on the complement, chndtr(b^2, 2, a^2) = 1 - p, so anchors such
-    as p = 1 - 1e-7 keep their relative precision.  ``tol`` must lie in
-    [1e-15, 1).
+    as p = 1 - 1e-7 keep their relative precision.
     """
     a = _require_finite("a", a)
     p = _require_finite("p", p)
@@ -113,8 +112,6 @@ def marcum_q1_inverse_b(a: float, p: float, tol: float = 1e-10) -> float:
         raise DomainError("marcum_q1_inverse_b requires a >= 0")
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie strictly in (0, 1)")
-    if not 1e-15 <= tol < 1.0:
-        raise DomainError("tol must lie in [1e-15, 1)")
     from scipy.optimize import brentq
     from scipy.special import chndtr
 
@@ -129,7 +126,7 @@ def marcum_q1_inverse_b(a: float, p: float, tol: float = 1e-10) -> float:
         hi *= 2.0
         if hi > 1e6:  # Q1 falls like a Gaussian tail; unreachable for p > 0
             raise DomainError("failed to bracket the Marcum inverse")
-    return brentq(excess, 0.0, hi, xtol=1e-300, rtol=tol, maxiter=200)
+    return brentq(excess, 0.0, hi, xtol=1e-300, rtol=1e-10, maxiter=200)
 
 
 def eval_mu_nu(a: float, coeffs: MarcumPolyCoeffs) -> MarcumApproxCoeffs:

@@ -71,6 +71,10 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_W_PER_HZ = 3.9810717055349695e-21  # -174 dBm/Hz
 DEFAULT_ANCHORS = (0.99, 1.0 - 1e-7)  # collocation anchors for near-unity p1
+# Scenario-2 radial grid: the coarse step in units of 1/sqrt(lambda pi),
+# and the nearest-distance tail mass beyond the last grid radius
+_RADIAL_STEP = 0.05
+_TAIL_MASS = 1e-8
 
 ABSORPTION_HEADER = ("frequency_hz", "k_per_m")
 
@@ -169,9 +173,9 @@ class AbsorptionTable:
             raise IngestError("absorption coefficients must be >= 0")
 
     def k_at(self, f):
-        """k(f) by linear interpolation; out-of-range queries are errors."""
+        """k(f) by linear interpolation; out-of-range and NaN queries are errors."""
         f = np.asarray(f, dtype=float)
-        if np.any(f < self.frequency_hz[0]) or np.any(f > self.frequency_hz[-1]):
+        if not np.all((self.frequency_hz[0] <= f) & (f <= self.frequency_hz[-1])):
             raise DomainError("frequency outside the tabulated range")
         out = np.interp(f, self.frequency_hz, self.k_per_m)
         return float(out) if out.ndim == 0 else out
@@ -282,7 +286,7 @@ def thz_snr(h, f, r, params: ThzParams, table: AbsorptionTable):
     """SNR = h * [P_T G_T G_R c^2 / (4 pi f)^2 * r^-2 e^(-k(f) r) / (N0 W)],
     the fading power h times the channel gain; h, f and r broadcast."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
+    if not np.all(r > 0.0):
         raise DomainError("r must be positive")
     f = np.asarray(f, dtype=float)
     gain = np.exp(-table.k_at(f) * r) / (params.c1() * np.square(f * r))
@@ -310,10 +314,11 @@ def p1_thz(f, r, params: ThzParams, table: AbsorptionTable):
 
 
 def _band_fraction(f, params: ThzParams) -> np.ndarray:
-    """(f - f_low) / (f_high - f_low); a frequency outside the band is an error."""
+    """(f - f_low) / (f_high - f_low); a frequency outside the band or NaN is
+    an error."""
     f = np.asarray(f, dtype=float)
     lo, hi = params.band()
-    if np.any(f < lo) or np.any(f > hi):
+    if not np.all((lo <= f) & (f <= hi)):
         raise DomainError("frequency outside the hopping band")
     return (f - lo) / (hi - lo)
 
@@ -401,8 +406,10 @@ def p1_tilde(
 def attenuation_metric(f, r, table: AbsorptionTable):
     """g(f; r) = f * r * exp(k(f) r / 2), the quantity thresholded by p1_tilde.
 
-    ``r`` is a radius or an array of radii that broadcasts against ``f``.
+    ``r`` is a radius or an array of radii >= 0 that broadcasts against ``f``.
     """
+    if not np.all(np.asarray(r) >= 0.0):
+        raise DomainError("r must be >= 0")
     f = np.asarray(f, dtype=float)
     out = f * r * np.exp(0.5 * table.k_at(f) * r)
     return float(out) if out.ndim == 0 else out
@@ -680,16 +687,15 @@ def r2_scenario2(
     p2: float,
     params: ThzParams,
     table: AbsorptionTable,
-    dr: Optional[float] = None,
     approx: Optional[MarcumApproxCoeffs] = None,
-    tail_mass: float = 1e-8,
 ) -> float:
     """MD reliability on a valley-shaped band by radial integration.
 
     The radial indicator 1[P2(r) > p2] is evaluated, as one array call each,
-    on a coarse midpoint grid of step dr (default 0.05/sqrt(lambda pi)) and
+    on a coarse midpoint grid of step dr = _RADIAL_STEP/sqrt(lambda pi) and
     on a fine grid of step dr/2, both out to the radius where the
-    nearest-distance tail falls below ``tail_mass``.  Each evaluation takes
+    nearest-distance tail falls below _TAIL_MASS (module constants, 0.05
+    and 1e-8).  Each evaluation takes
     the frequency crossings of every radius in closed form; only the
     indicator flips of both grids are bisected, together, by one batched
     bisection of at most 60 steps, which stops early once no bracket shrinks
@@ -705,12 +711,9 @@ def r2_scenario2(
         raise DomainError("p2 must lie strictly in (0, 1)")
     knots, slopes = _valley_band(params, table)
     lam_pi = params.intensity * math.pi
-    if dr is None:
-        dr = 0.05 / math.sqrt(lam_pi)
-    if dr <= 0.0:
-        raise DomainError("dr must be positive")
+    dr = _RADIAL_STEP / math.sqrt(lam_pi)
     p1t = p1_tilde(p1, params, approx or default_marcum_coeffs(params.rician_k))
-    r_max = math.sqrt(-math.log(tail_mass) / lam_pi)
+    r_max = math.sqrt(-math.log(_TAIL_MASS) / lam_pi)
 
     def indicator(r: np.ndarray) -> np.ndarray:
         return _p2_radii(r, p1t, params, table, knots, slopes) > p2
@@ -830,7 +833,6 @@ def optimal_bandwidth_sweep(
     p1: float,
     p2: float,
     bw_grid: Sequence[float],
-    dr: Optional[float] = None,
     approx: Optional[MarcumApproxCoeffs] = None,
 ) -> tuple[list[tuple[float, float]], float]:
     """Reliability versus hopping bandwidth (f_low, f_low + BW).
@@ -847,6 +849,6 @@ def optimal_bandwidth_sweep(
             raise DomainError(
                 f"table does not cover the band up to {sub.f_high_hz:.4g} Hz"
             )
-        rows.append((float(bw), r2_scenario2(p1, p2, sub, table, dr=dr, approx=approx)))
+        rows.append((float(bw), r2_scenario2(p1, p2, sub, table, approx=approx)))
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     return rows, rows[best][0]

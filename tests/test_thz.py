@@ -88,6 +88,12 @@ class TestAbsorptionTable:
         with pytest.raises(DomainError):
             TABLE_MONO.k_at(1e9)
 
+    def test_nan_query(self):
+        with pytest.raises(DomainError):
+            TABLE_MONO.k_at(math.nan)
+        with pytest.raises(DomainError):
+            TABLE_MONO.k_at(np.array([350e9, math.nan]))
+
     def test_shape_predicates(self):
         assert TABLE_MONO.is_monotone_nondecreasing(340e9, 375e9)
         assert TABLE_MONO.is_valley(340e9, 375e9)
@@ -130,6 +136,10 @@ class TestSnr:
     def test_domain(self):
         with pytest.raises(DomainError):
             thz.thz_snr(1.0, 350e9, 0.0, thz.ThzParams(), TABLE_MONO)
+
+    def test_nan_distance(self):
+        with pytest.raises(DomainError):
+            thz.thz_snr(1.0, 350e9, np.array([10.0, math.nan]), thz.ThzParams(), TABLE_MONO)
 
 
 class TestP1:
@@ -215,6 +225,13 @@ class TestCarrierDistribution:
         theo = thz.carrier_cdf(draws, prm)
         emp = np.arange(1, draws.size + 1) / draws.size
         assert float(np.max(np.abs(emp - theo))) < 0.01
+
+    @pytest.mark.parametrize("fn", [thz.carrier_pdf, thz.carrier_cdf])
+    def test_nan_frequency(self, fn):
+        with pytest.raises(DomainError):
+            fn(math.nan, thz.ThzParams())
+        with pytest.raises(DomainError):
+            fn(np.array([350e9, math.nan]), thz.ThzParams())
 
     def test_integer_shape_enforced(self):
         with pytest.raises(DomainError):
@@ -404,11 +421,15 @@ class TestScenario2:
         want = -math.expm1(-prm.intensity * math.pi * lo * lo)
         assert r_low == pytest.approx(want, abs=2e-3)
 
-    def test_dr_validation(self):
-        with pytest.raises(DomainError):
-            thz.r2_scenario2(0.9, 0.5, thz.ThzParams(), TABLE_VALLEY, dr=-1.0)
+    def test_p2_validation(self):
         with pytest.raises(DomainError):
             thz.r2_scenario2(0.9, 1.5, thz.ThzParams(), TABLE_VALLEY)
+
+    def test_attenuation_metric_radius_domain(self):
+        assert thz.attenuation_metric(350e9, 0.0, TABLE_VALLEY) == 0.0
+        for r in (-1.0, math.nan, np.array([5.0, math.nan])):
+            with pytest.raises(DomainError):
+                thz.attenuation_metric(350e9, r, TABLE_VALLEY)
 
     # Values of the scalar engine (one Python bisection per radius and
     # root) that the array engine replaced, on the tables above.
@@ -490,19 +511,22 @@ class TestScenario2:
                 thz.r2_scenario2(0.5, 0.5, prm, TABLE_HUMP, approx=COEFFS99)
         assert len(thz.roots_scenario2(9.6, 3.4579e12, prm, TABLE_HUMP)) == 2
 
-    def test_coarse_step_is_an_accuracy_error(self):
-        # the tail cut-off falls just past r*, so a coarse grid whose last
-        # point lies before r* misses the flip that the halved grid finds
-        with pytest.raises(AccuracyError):
-            thz.r2_scenario2(
-                0.99, 0.4, thz.ThzParams(), TABLE_BENCH_VALLEY,
-                dr=5.0, approx=COEFFS99, tail_mass=0.074,
-            )
-
-    def test_refinement_is_step_insensitive(self):
+    def test_coarse_step_is_an_accuracy_error(self, monkeypatch):
+        # a 5 m step with the tail cut-off just past r*: the coarse grid's
+        # last point lies before r* and misses the flip that the halved grid
+        # finds, a gap of 2.924e-3
         prm = thz.ThzParams()
-        a = thz.r2_scenario2(0.99, 0.4, prm, TABLE_VALLEY, approx=COEFFS99)
-        b = thz.r2_scenario2(0.99, 0.4, prm, TABLE_VALLEY, dr=2.0, approx=COEFFS99)
+        monkeypatch.setattr(thz, "_RADIAL_STEP", 5.0 * math.sqrt(prm.intensity * math.pi))
+        monkeypatch.setattr(thz, "_TAIL_MASS", 0.074)
+        with pytest.raises(AccuracyError, match="2.924e-03"):
+            thz.r2_scenario2(0.99, 0.4, prm, TABLE_BENCH_VALLEY, approx=COEFFS99)
+
+    def test_refinement_is_step_insensitive(self, monkeypatch):
+        # r* lies inside the support here (R2 = 0.923), so both grids flip
+        prm = thz.ThzParams()
+        a = thz.r2_scenario2(0.99, 0.4, prm, TABLE_BENCH_VALLEY, approx=COEFFS99)
+        monkeypatch.setattr(thz, "_RADIAL_STEP", 2.0 * math.sqrt(prm.intensity * math.pi))
+        b = thz.r2_scenario2(0.99, 0.4, prm, TABLE_BENCH_VALLEY, approx=COEFFS99)
         assert a == pytest.approx(b, abs=1e-3)
 
 
