@@ -369,7 +369,8 @@ def _scenario1_quadrature_oracle(
 
     The cells must share the intensity and the band: the metric
     f r e^(k(f) r / 2) then depends on neither, and is computed once per
-    radius chunk for all of them.
+    radius chunk for all of them.  P2(r) depends on (params, p1) but not on
+    p2, so it is computed once per chunk for each distinct (params, p1).
     """
     lam_pi = cells[0][0].intensity * math.pi
     r_max = math.sqrt(-math.log(1e-10) / lam_pi)
@@ -378,8 +379,13 @@ def _scenario1_quadrature_oracle(
     kf = table.k_at(fs)
     dr = r_max / n_r
     rs = (np.arange(n_r) + 0.5) * dr
-    thresholds = [thz.p1_tilde(p1, params, approx) for params, p1, _ in cells]
-    weights = [thz.carrier_pdf(fs, params) * (hi - lo) / n_f for params, _, _ in cells]
+    groups = {}
+    for c, (params, p1, _) in enumerate(cells):
+        groups.setdefault((params, p1), []).append(c)
+    inner = [
+        (thz.p1_tilde(p1, params, approx), thz.carrier_pdf(fs, params) * (hi - lo) / n_f, members)
+        for (params, p1), members in groups.items()
+    ]
     totals = [0.0] * len(cells)
     for start in range(0, n_r, 2000):
         rc = rs[start : start + 2000][:, None]
@@ -387,9 +393,10 @@ def _scenario1_quadrature_oracle(
         dens = 2.0 * lam_pi * rs[start : start + 2000] * np.exp(
             -lam_pi * np.square(rs[start : start + 2000])
         )
-        for c, (_, _, p2) in enumerate(cells):
-            p2_of_r = (metric < thresholds[c]) @ weights[c]
-            totals[c] += float(np.sum((p2_of_r > p2) * dens * dr))
+        for threshold, weight, members in inner:
+            p2_of_r = (metric < threshold) @ weight
+            for c in members:
+                totals[c] += float(np.sum((p2_of_r > cells[c][2]) * dens * dr))
     return totals
 
 

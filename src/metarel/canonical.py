@@ -68,14 +68,14 @@ class CanonicalParams:
             raise DomainError(f"mode must be one of {MODES}")
         if self.n_points < 2:
             raise DomainError("n_points must be >= 2")
+        triple = (("l", self.l_bits), ("W", self.bandwidth_hz), ("t_th", self.deadline_s))
         have_q = self.q is not None
-        have_triple = all(
-            v is not None for v in (self.l_bits, self.bandwidth_hz, self.deadline_s)
-        )
+        have_triple = all(v is not None for _, v in triple)
         if have_q == have_triple:
             raise ConfigurationError("give exactly one of q or (l, W, t_th)")
-        if have_q and self.q <= 0.0:
-            raise DomainError("q must be positive")
+        for name, v in (("q", self.q),) + triple:
+            if v is not None and not (math.isfinite(v) and v > 0.0):
+                raise DomainError(f"{name} must be finite and positive")
 
     def qos(self) -> float:
         if self.q is not None:
@@ -97,11 +97,17 @@ class GridEstimate:
 
 def qos_threshold(l_bits: float, bandwidth_hz: float, deadline_s: float) -> float:
     """SIR/SNR threshold equivalent to l bits within t_th at bandwidth W:
-    q = 2^(l / (W t_th)) - 1."""
+    q = 2^(l / (W t_th)) - 1, which must be finite."""
     for name, v in (("l", l_bits), ("W", bandwidth_hz), ("t_th", deadline_s)):
         if not (v is not None and math.isfinite(v) and v > 0.0):
             raise DomainError(f"{name} must be finite and positive")
-    return math.expm1(l_bits / (bandwidth_hz * deadline_s) * math.log(2.0))
+    try:
+        q = math.expm1(l_bits / (bandwidth_hz * deadline_s) * math.log(2.0))
+    except (OverflowError, ZeroDivisionError):  # q overflows, or W t_th underflows to 0
+        q = math.inf
+    if q == math.inf:
+        raise DomainError(f"q = 2^(l / (W t_th)) - 1 overflows at W = {bandwidth_hz!r}")
+    return q
 
 
 def p1_hat(p1: float, q: float, alpha: float) -> float:
@@ -465,8 +471,10 @@ def required_bandwidth(
 
     Bisection on W: q = 2^(l/(W t_th)) - 1 decreases strictly in W, and every
     shipped reliability order is non-increasing in q, so reliability is
-    non-decreasing in W.  The endpoints must bracket the target.  The
-    bracket's upper end is returned once the bracket is within 0.1 % of it.
+    non-decreasing in W.  Every shipped order has R -> 0 as q -> inf, so R
+    reads 0 at a W whose q overflows.  The endpoints must bracket the
+    target.  The bracket's upper end is returned once the bracket is within
+    0.1 % of it.
     """
     if not 0.0 < target_reliability < 1.0:
         raise DomainError("target reliability must lie strictly in (0, 1)")
@@ -478,7 +486,10 @@ def required_bandwidth(
         raise ConfigurationError("params must carry (l, t_th) for a bandwidth search")
 
     def reliability(w: float) -> float:
-        q = qos_threshold(params.l_bits, w, params.deadline_s)
+        try:
+            q = qos_threshold(params.l_bits, w, params.deadline_s)
+        except DomainError:  # l and t_th are valid, so q overflowed
+            return 0.0
         if order == 2:
             if params.mode == "single_interferer":
                 return r2_single_interferer(p1, p2, q, params.alpha, params.zeta)

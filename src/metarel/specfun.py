@@ -4,8 +4,11 @@ The first-order Marcum Q-function, its inverse in b and its exponential
 approximation exp(-e^nu * b^mu), and the principal Lambert W branch.  The
 kernels are thin wrappers over :mod:`scipy.special` that check their
 domain: violations raise :class:`~metarel.errors.DomainError` rather than
-propagating NaN.  scipy is imported inside the kernels that call it, so
-importing this module (and the CLI) does not load it.
+propagating NaN.  None of them iterates: Q1 and its inverse in b are the
+noncentral chi-square CDF ``chndtr`` and its inverse ``chndtrix``, so the
+THz calibration needs no root finder.  scipy is imported inside the
+kernels that call it, so importing this module (and the CLI) does not load
+it.
 """
 
 from __future__ import annotations
@@ -97,14 +100,15 @@ def marcum_q1(a, b):
 
 
 def marcum_q1_inverse_b(a: float, p: float) -> float:
-    """The threshold b* > 0 with Q1(a, b*) = p.
+    """The threshold b* > 0 with Q1(a, b*) = p, for 0 < p < 1.
 
-    The root is bracketed in [0, hi] and refined with Brent's method until
-    the bracket is narrower than 1e-10 * b*: that bounds the relative error
-    in b, not the residual in Q1 (Q1 is flat in b near p = 1, so a small
-    residual says little about b there).  For p > 1/2 the equation is
-    solved on the complement, chndtr(b^2, 2, a^2) = 1 - p, so anchors such
-    as p = 1 - 1e-7 keep their relative precision.
+    Q1(a, b) = 1 - F(b^2), with F the noncentral chi-square CDF at 2 degrees
+    of freedom and noncentrality a^2, so b* = sqrt(chndtrix(1 - p, 2, a^2))
+    with no iteration.  Anchors near 1 such as p = 1 - 1e-7 keep their
+    relative precision, since 1 - p is exact there.  For p <= 1/2 the
+    accuracy is bounded by the rounding of 1 - p: b* solves Q1 = p to
+    within an absolute 2^-54, a relative 2^-54 / p.  A p so small that
+    1 - p rounds to 1 has no finite b* and raises :class:`DomainError`.
     """
     a = _require_finite("a", a)
     p = _require_finite("p", p)
@@ -112,21 +116,12 @@ def marcum_q1_inverse_b(a: float, p: float) -> float:
         raise DomainError("marcum_q1_inverse_b requires a >= 0")
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie strictly in (0, 1)")
-    from scipy.optimize import brentq
-    from scipy.special import chndtr
+    from scipy.special import chndtrix
 
-    def excess(b: float) -> float:
-        # increasing in b, negative at b = 0 and zero at b*
-        if p > 0.5:
-            return chndtr(b * b, 2, a * a) - (1.0 - p)
-        return p - marcum_q1(a, b)
-
-    hi = max(a, 1.0)
-    while excess(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:  # Q1 falls like a Gaussian tail; unreachable for p > 0
-            raise DomainError("failed to bracket the Marcum inverse")
-    return brentq(excess, 0.0, hi, xtol=1e-300, rtol=1e-10, maxiter=200)
+    b = math.sqrt(chndtrix(1.0 - p, 2, a * a))
+    if not math.isfinite(b):
+        raise DomainError(f"Q1({a!r}, b) = {p!r} has no finite b in double precision")
+    return b
 
 
 def eval_mu_nu(a: float, coeffs: MarcumPolyCoeffs) -> MarcumApproxCoeffs:

@@ -115,21 +115,20 @@ class ThzParams:
             ("deadline_s", self.deadline_s),
             ("intensity", self.intensity),
             ("f_low_hz", self.f_low_hz),
+            ("f_high_hz", self.f_high_hz),
+            ("q_override", self.q_override),
+            ("c1_override", self.c1_override),
         )
         for name, v in positive:
-            if not (math.isfinite(v) and v > 0.0):
+            if v is not None and not (math.isfinite(v) and v > 0.0):
                 raise DomainError(f"{name} must be finite and positive")
-        if self.rician_k < 0.0:
-            raise DomainError("rician_k must be >= 0")
+        if not (math.isfinite(self.rician_k) and self.rician_k >= 0.0):
+            raise DomainError("rician_k must be finite and >= 0")
         if not self.f_low_hz < self.f_high_hz:
             raise DomainError("need f_low_hz < f_high_hz")
         if int(self.m_shape) != self.m_shape or self.m_shape < 0:
             raise DomainError("m_shape must be a non-negative integer")
         object.__setattr__(self, "m_shape", int(self.m_shape))
-        if self.q_override is not None and self.q_override <= 0.0:
-            raise DomainError("q_override must be positive")
-        if self.c1_override is not None and self.c1_override <= 0.0:
-            raise DomainError("c1_override must be positive")
 
     def qos(self) -> float:
         if self.q_override is not None:
@@ -652,6 +651,8 @@ def roots_scenario2(
     knots, slopes = _valley_band(params, table)
     if r < 0.0:
         raise DomainError("r must be >= 0")
+    if not (math.isfinite(p1_tilde_value) and p1_tilde_value > 0.0):
+        raise DomainError("p1_tilde must be finite and positive")
     r_arr = np.array([float(r)])
     roots, count, _ = _crossings(r_arr, p1_tilde_value, table, knots, slopes)
     return tuple(float(f) for f in roots[0, : count[0]])
@@ -668,6 +669,8 @@ def p2_scenario2(
     knots, slopes = _valley_band(params, table)
     if r < 0.0:
         raise DomainError("r must be >= 0")
+    if not (math.isfinite(p1_tilde_value) and p1_tilde_value > 0.0):
+        raise DomainError("p1_tilde must be finite and positive")
     r_arr = np.array([float(r)])
     return float(_p2_radii(r_arr, p1_tilde_value, params, table, knots, slopes)[0])
 

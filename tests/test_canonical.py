@@ -37,6 +37,12 @@ class TestQosThreshold:
         with pytest.raises(DomainError):
             can.qos_threshold(0.0, 1e7, 1e-3)
 
+    # 2^1e5 - 1 overflows expm1; an infinite exponent gives q = inf
+    @pytest.mark.parametrize("l_bits, w", [(1000.0, 1e3), (1.0, 1e-300)])
+    def test_overflow_is_a_domain_error(self, l_bits, w):
+        with pytest.raises(DomainError, match="overflows"):
+            can.qos_threshold(l_bits, w, 1e-300 if w < 1.0 else 1e-5)
+
 
 class TestP1Hat:
     def test_ratio_one(self):
@@ -439,6 +445,26 @@ class TestRequiredBandwidth:
         with pytest.raises(SearchError):
             can.required_bandwidth(0.99, 2, self.PARAMS, 0.999, 0.5, 1e3, 2e3)
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_overflowing_low_end_reads_zero(self, order):
+        # q overflows at W = 1e3; the search reads R = 0 there and still
+        # returns the smallest W within 0.1 % whose reliability reaches 0.5
+        prm = can.CanonicalParams(
+            intensity=1e-4, alpha=3.5, zeta=0.5, l_bits=1000.0, bandwidth_hz=1e3,
+            deadline_s=1e-5,
+        )
+
+        def rel(w):
+            q = can.qos_threshold(1000.0, w, 1e-5)
+            if order == 2:
+                return can.r2_single_interferer(0.9, 0.5, q, 3.5, 0.5)
+            if order == 1:
+                return can.first_order_reliability(0.9, q, 3.5, 0.5)
+            return can.zeroth_order_reliability_closed(q, 3.5, 0.5)
+
+        w = can.required_bandwidth(0.5, order, prm, 0.9, 0.5, 1e3, 1e10)
+        assert rel(w) >= 0.5 > rel(w * (1.0 - 1e-3))
+
     def test_second_and_zeroth_order_curves_cross(self):
         prm = can.CanonicalParams(
             intensity=1e-4,
@@ -476,6 +502,11 @@ class TestParamsValidation:
     def test_alpha_bound(self):
         with pytest.raises(DomainError):
             can.CanonicalParams(intensity=1e-4, alpha=2.0, zeta=0.5, q=1.0)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf])
+    def test_non_finite_q(self, q):
+        with pytest.raises(DomainError, match="q must be finite"):
+            can.CanonicalParams(intensity=1e-4, alpha=3.5, zeta=0.5, q=q)
 
     def test_qos_from_triple(self):
         prm = can.CanonicalParams(

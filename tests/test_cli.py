@@ -86,6 +86,24 @@ def test_underflowing_qos_exits_2(tmp_path, capsys):
     assert_one_line_error(err, "usage error: ")
 
 
+def test_overflowing_qos_exits_2(capsys):
+    # q = 2^(1000 / (1e3 * 1e-5)) - 1 = 2^1e5 - 1 overflows a double
+    argv = ["canonical", "--seed", "1", "--axis", "p2", "--grid", "0.5", "--p1", "0.8",
+            "--method", "closed_form", "--l", "1000", "--bw", "1e3", "--tth", "1e-5"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert_one_line_error(err, "usage error: ")
+
+
+def test_bandwidth_search_reads_zero_reliability_where_qos_overflows(capsys):
+    argv = ["bandwidth", "--targets", "0.5", "--l", "1000", "--tth", "1e-5", "--p1", "0.9",
+            "--p2", "0.5", "--zeta", "0.5", "--seed", "1", "--w-low", "1e3", "--w-high", "1e10"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    row = [float(x) for x in out.splitlines()[-1].split(",")]
+    assert row[0] == 0.5 and all(1e3 < w < 1e10 for w in row[1:])
+
+
 def test_scenario_error_exits_3(valley_csv):
     argv = thz_argv("--scenario", "1", "--axis", "p2", "--grid", "0.5",
                     "--absorption-table", valley_csv)
@@ -266,12 +284,12 @@ def test_thz_mc_runs_on_the_exact_hook(monkeypatch, capsys):
         (
             thz_argv("--scenario", "1", "--axis", "p2", "--grid", "0.3,0.5,0.7"),
             "8c12f34189e0188e",
-            "220ba0e63c51c7313f9a232da07adfa7fd46463d95f239ede399c70c178cfaa9",
+            "a7b94cf410a698cd06a48bbdb9046b63246e43af6f653f7fd34fa8817b759e57",
         ),
         (
             THZ_S2_BOTH_ARGV,
             "11e7afb6de38ad69",
-            "95afbfaef7a8ed55f98ec9f6d5e509f4b5d1a13c08628296dddf7dbf3c75ba26",
+            "78cc666213885aafaf2e0fca21284a61ccae982f0398ada81cd0a6811c5ace30",
         ),
     ],
     ids=["canonical-both", "bandwidth", "thz-scenario1", "thz-scenario2-both"],
@@ -316,8 +334,8 @@ def test_scenario2_sweep_is_byte_identical(valley_csv, tmp_path):
     second = _scenario2_sweep(valley_csv, tmp_path / "b.csv")
     assert first == second
     assert [row[1] for row in cli.read_run_record(str(tmp_path / "a.csv")).rows] == [
-        pytest.approx(0.2584638772050173, abs=1e-12),
-        pytest.approx(0.19617620234201294, abs=1e-12),
+        pytest.approx(0.2584638772012914, abs=1e-12),
+        pytest.approx(0.19617620233937472, abs=1e-12),
     ]
 
 

@@ -1,5 +1,6 @@
 """Importing the CLI loads no scipy submodule; the kernels that need one
-import it on their first call."""
+import it on their first call.  The THz path, Marcum calibration included,
+never loads scipy.optimize."""
 
 import json
 import os
@@ -14,14 +15,13 @@ TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 SRC_DIR = os.path.join(os.path.dirname(TESTS_DIR), "src")
 
 
-def lazy_kernel_values() -> dict:
-    """One value of each function that imports scipy inside itself
+def thz_kernel_values() -> dict:
+    """One value of each THz-path function that imports scipy inside itself
     (``_piece_roots`` through ``roots_scenario2``)."""
     prm = thz.ThzParams(m_shape=1)
     table = thz.synthetic_monotone_table(335e9, 380e9, 0.8, 3.0)
     p1t = thz.attenuation_metric(357e9, 12.0, table)
     return {
-        "zeroth_order_reliability_closed": can.zeroth_order_reliability_closed(0.8, 3.5, 0.6),
         "marcum_q1": specfun.marcum_q1(2.0, 1.5),
         "marcum_q1_inverse_b": specfun.marcum_q1_inverse_b(2.0, 0.3),
         "lambert_w0": specfun.lambert_w0(1.0),
@@ -32,9 +32,20 @@ def lazy_kernel_values() -> dict:
     }
 
 
+def lazy_kernel_values() -> dict:
+    """One value of each function that imports scipy inside itself; the
+    canonical quadrature's scipy.integrate loads scipy.optimize."""
+    return {
+        "zeroth_order_reliability_closed": can.zeroth_order_reliability_closed(0.8, 3.5, 0.6),
+        **thz_kernel_values(),
+    }
+
+
 # Runs in a fresh interpreter: what `import metarel.cli` loaded, whether a
 # domain error in the quadrature closed form is raised before
-# scipy.integrate is imported, and then lazy_kernel_values().
+# scipy.integrate is imported, whether thz_kernel_values() and a
+# default-anchor scenario-1 sweep load scipy.optimize, and then
+# lazy_kernel_values().
 SCRIPT = f"""
 import json, sys
 import metarel.cli
@@ -51,10 +62,16 @@ integrate_after_error = "scipy.integrate" in sys.modules
 
 sys.path.insert(0, {TESTS_DIR!r})
 import test_import_footprint
+test_import_footprint.thz_kernel_values()
+sweep_code = metarel.cli.main(["thz", "--seed", "1", "--scenario", "1", "--axis", "p2",
+                               "--grid", "0.5"])
+optimize_after_thz = "scipy.optimize" in sys.modules
 print(json.dumps({{
     "loaded_by_import": loaded_by_import,
     "raised": raised,
     "integrate_after_error": integrate_after_error,
+    "sweep_code": sweep_code,
+    "optimize_after_thz": optimize_after_thz,
     "values": test_import_footprint.lazy_kernel_values(),
 }}))
 """
@@ -74,5 +91,6 @@ def test_cli_import_loads_no_scipy_submodule_and_lazy_kernels_work():
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["loaded_by_import"] == []
     assert report["raised"] and not report["integrate_after_error"]
+    assert report["sweep_code"] == 0 and not report["optimize_after_thz"]
     # json round-trips floats exactly, so the fresh values must equal these
     assert report["values"] == lazy_kernel_values()

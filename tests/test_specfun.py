@@ -130,10 +130,36 @@ class TestMarcumInverse:
         want = marcum_bisection_oracle(SQRT6, 0.99999)
         assert got == pytest.approx(want, abs=1e-7)
 
+    @pytest.mark.parametrize("a", [0.0, 1.0, 2.0, SQRT6, 5.0])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-7])
+    def test_against_ncx2_root(self, a, p):
+        # Q1(a, b) = P(X > b^2) for X ~ ncx2(2, a^2); root of the forward
+        # law, on the complement for p > 1/2 as for the anchor 1 - 1e-7
+        from scipy.optimize import brentq
+        from scipy.stats import ncx2
+
+        if p > 0.5:
+            def excess(b):
+                return float(ncx2.cdf(b * b, 2, a * a)) - (1.0 - p)
+        else:
+            def excess(b):
+                return p - float(ncx2.sf(b * b, 2, a * a))
+        want = brentq(excess, 1e-12, a + 40.0, xtol=1e-300, rtol=1e-15, maxiter=500)
+        got = marcum_q1_inverse_b(a, p)
+        assert got == pytest.approx(want, rel=1e-13)
+        if a == 0.0:
+            assert got == pytest.approx(math.sqrt(-2.0 * math.log(p)), rel=1e-13)
+
     def test_domain(self):
         for p in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
                 marcum_q1_inverse_b(1.0, p)
+
+    def test_p_below_the_rounding_of_one_minus_p(self):
+        # 1 - 1e-300 rounds to 1, whose inverse is b = inf; the true b* at
+        # a = 0 is sqrt(600 ln 10) = 37.17
+        with pytest.raises(DomainError, match="no finite b"):
+            marcum_q1_inverse_b(0.0, 1e-300)
 
 
 class TestPolyEvaluation:
