@@ -9,7 +9,6 @@ SNR model with molecular absorption.
 __version__ = "0.1.0"
 
 from .errors import (
-    AccuracyError,
     CalibrationError,
     ConfigurationError,
     DomainError,
@@ -29,7 +28,6 @@ from .mdcore import (
 
 __all__ = [
     "__version__",
-    "AccuracyError",
     "CalibrationError",
     "ConfigurationError",
     "DomainError",

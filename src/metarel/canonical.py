@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SearchError
+from .errors import ConfigurationError, DomainError, SearchError, check_count
 from .mdcore import LayeredModel, MdEstimate, MdQuery, nested_md_estimate, nested_md_grid
 from .stochgeom import PppConfig, sample_ordered_distances
 
@@ -66,8 +66,7 @@ class CanonicalParams:
             raise DomainError("zeta must lie in (0, 1]")
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}")
-        if self.n_points < 2:
-            raise DomainError("n_points must be >= 2")
+        object.__setattr__(self, "n_points", check_count("n_points", self.n_points, 2))
         triple = (("l", self.l_bits), ("W", self.bandwidth_hz), ("t_th", self.deadline_s))
         have_q = self.q is not None
         have_triple = all(v is not None for _, v in triple)

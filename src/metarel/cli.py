@@ -2,8 +2,8 @@
 ingestion, closed-form vs Monte Carlo comparisons, and CSV/JSON emission.
 
 Output files are deterministic for a fixed spec and seed: full-precision
-floats, no timestamps.  Exit codes: 0 ok, 2 usage error, 3 numeric or
-accuracy error, 4 ingest error.
+floats, no timestamps.  Exit codes: 0 ok, 2 usage error, 3 numeric error,
+4 ingest error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from . import acceptance
 from . import canonical as can
 from . import thz
 from .errors import (
-    AccuracyError,
     CalibrationError,
     ConfigurationError,
     DomainError,
@@ -729,7 +728,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ConfigurationError, DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, SearchError, CalibrationError, ScenarioError) as exc:
+    except (SearchError, CalibrationError, ScenarioError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except IngestError as exc:

@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the check of integer
+counts that raises one.
 
-The CLI maps these onto exit codes: usage errors exit 2, numeric/accuracy
-errors exit 3, ingest errors exit 4.
+The CLI maps these onto exit codes: usage errors exit 2, numeric errors
+exit 3, ingest errors exit 4.
 """
 
 
@@ -15,10 +16,6 @@ class ConfigurationError(ValueError):
 
 class CalibrationError(RuntimeError):
     """Coefficient calibration is degenerate or failed to converge."""
-
-
-class AccuracyError(RuntimeError):
-    """A numerical procedure failed its built-in accuracy check."""
 
 
 class SearchError(RuntimeError):
@@ -35,3 +32,15 @@ class IngestError(ValueError):
 
 class UsageError(ValueError):
     """Invalid command-line or sweep specification."""
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is a finite integer >= ``minimum`` (2.0
+    passes; 2.5, inf and NaN do not), else a DomainError."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value or count < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}")
+    return count

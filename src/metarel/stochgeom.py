@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_rng
-from .errors import DomainError
+from .errors import DomainError, check_count
 
 __all__ = [
     "PppConfig",
@@ -38,8 +38,7 @@ class PppConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.intensity) and self.intensity > 0.0):
             raise DomainError("intensity must be finite and positive")
-        if self.n_points < 1:
-            raise DomainError("n_points must be >= 1")
+        object.__setattr__(self, "n_points", check_count("n_points", self.n_points, 1))
 
 
 def sample_ordered_distances(
@@ -134,16 +133,14 @@ def thinned_ratio_sum_mc(
     squared distances are copied out for the tail term.
 
     Returns (mean, standard error).  ``alpha`` must be finite and exceed 2,
-    and both counts must be >= 1.
+    and both counts must be integers >= 1.
     """
     if not (math.isfinite(alpha) and alpha > 2.0):
         raise DomainError("alpha must be finite and exceed 2")
     if not 0.0 < zeta <= 1.0:
         raise DomainError("zeta must lie in (0, 1]")
-    if n_thinned < 1:
-        raise DomainError("n_thinned must be >= 1")
-    if n_realizations < 1:
-        raise DomainError("n_realizations must be >= 1")
+    n_thinned = check_count("n_thinned", n_thinned, 1)
+    n_realizations = check_count("n_realizations", n_realizations, 1)
     rng = derive_rng(seed, 0xD157)
     half_alpha = 0.5 * alpha
     total = 0.0

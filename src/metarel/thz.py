@@ -8,8 +8,8 @@ reliability: a Lambert-W closed form when the absorption coefficient k(f)
 increases monotonically over the band (Scenario 1), and root
 classification plus radial integration when k(f) is valley-shaped
 (Scenario 2).  The Scenario-2 frequency crossings are closed-form Lambert-W
-(and Wright omega) roots on each linear segment of k(f); only the radii
-where the carrier-layer indicator flips are bisected.
+(and Wright omega) roots on each linear segment of k(f); the carrier-layer
+indicator turns false at a single radius, found by bisection.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    AccuracyError,
     ConfigurationError,
     DomainError,
     IngestError,
     ScenarioError,
+    check_count,
 )
 from .mdcore import LayeredModel, MdEstimate, MdQuery, nested_md_estimate
 from .canonical import INNER_MODES, GridEstimate, _grid_estimate, qos_threshold
@@ -71,9 +71,8 @@ __all__ = [
 SPEED_OF_LIGHT = 299792458.0  # m/s
 THERMAL_NOISE_W_PER_HZ = 3.9810717055349695e-21  # -174 dBm/Hz
 DEFAULT_ANCHORS = (0.99, 1.0 - 1e-7)  # collocation anchors for near-unity p1
-# Scenario-2 radial grid: the coarse step in units of 1/sqrt(lambda pi),
-# and the nearest-distance tail mass beyond the last grid radius
-_RADIAL_STEP = 0.05
+# Scenario-2 radial search: the nearest-distance tail mass beyond its
+# largest radius
 _TAIL_MASS = 1e-8
 
 ABSORPTION_HEADER = ("frequency_hz", "k_per_m")
@@ -126,9 +125,7 @@ class ThzParams:
             raise DomainError("rician_k must be finite and >= 0")
         if not self.f_low_hz < self.f_high_hz:
             raise DomainError("need f_low_hz < f_high_hz")
-        if int(self.m_shape) != self.m_shape or self.m_shape < 0:
-            raise DomainError("m_shape must be a non-negative integer")
-        object.__setattr__(self, "m_shape", int(self.m_shape))
+        object.__setattr__(self, "m_shape", check_count("m_shape", self.m_shape, 0))
 
     def qos(self) -> float:
         if self.q_override is not None:
@@ -675,16 +672,6 @@ def p2_scenario2(
     return float(_p2_radii(r_arr, p1_tilde_value, params, table, knots, slopes)[0])
 
 
-def _superlevel_mass(params: ThzParams, edges: list[float]) -> float:
-    """Probability mass of the nearest-distance law over the radius
-    intervals (edges[0], edges[1]), (edges[2], edges[3]), ..."""
-    lam_pi = params.intensity * math.pi
-    mass = 0.0
-    for a, b in zip(edges[0::2], edges[1::2]):
-        mass += math.exp(-lam_pi * a * a) - math.exp(-lam_pi * b * b)
-    return mass
-
-
 def r2_scenario2(
     p1: float,
     p2: float,
@@ -692,61 +679,34 @@ def r2_scenario2(
     table: AbsorptionTable,
     approx: Optional[MarcumApproxCoeffs] = None,
 ) -> float:
-    """MD reliability on a valley-shaped band by radial integration.
+    """MD reliability on a valley-shaped band: the nearest-distance mass of
+    the super-level set {r : P2(r) > p2}.
 
-    The radial indicator 1[P2(r) > p2] is evaluated, as one array call each,
-    on a coarse midpoint grid of step dr = _RADIAL_STEP/sqrt(lambda pi) and
-    on a fine grid of step dr/2, both out to the radius where the
-    nearest-distance tail falls below _TAIL_MASS (module constants, 0.05
-    and 1e-8).  Each evaluation takes
-    the frequency crossings of every radius in closed form; only the
-    indicator flips of both grids are bisected, together, by one batched
-    bisection of at most 60 steps, which stops early once no bracket shrinks
-    any more (a converged bracket is a fixed point of the update, so the
-    result is that of the full 60 steps).  The nearest-distance density is
-    integrated exactly over the resulting super-level intervals of each
-    grid.  The fine result must be within 1e-3 of the coarse one, otherwise
-    an accuracy error is raised.
-    g(f; r) increases in r pointwise, so P2(r) is non-increasing and the
-    super-level set is typically the single interval [0, r*).
+    That set is always a single interval [0, r*).  The table has k >= 0, so
+    g(f; r) = f r e^(k(f) r / 2) strictly increases in r for every f > 0;
+    the event window {f : g(f; r) < p1_tilde} therefore shrinks as r grows,
+    P2(r) does not increase, and P2(0) = 1 > p2.  The radius r* where the
+    indicator 1[P2(r) > p2] turns false is found by one bisection of at most
+    60 steps on [0, r_max], which stops early once the bracket stops
+    shrinking; r_max is the radius where the nearest-distance tail falls
+    below _TAIL_MASS (1e-8), and r* = r_max when the indicator still holds
+    there.  Each indicator evaluation takes the frequency crossings at its
+    radius in closed form.  The result is 1 - exp(-lambda pi r*^2).
     """
     if not 0.0 < p2 < 1.0:
         raise DomainError("p2 must lie strictly in (0, 1)")
     knots, slopes = _valley_band(params, table)
     lam_pi = params.intensity * math.pi
-    dr = _RADIAL_STEP / math.sqrt(lam_pi)
     p1t = p1_tilde(p1, params, approx or default_marcum_coeffs(params.rician_k))
     r_max = math.sqrt(-math.log(_TAIL_MASS) / lam_pi)
 
     def indicator(r: np.ndarray) -> np.ndarray:
         return _p2_radii(r, p1t, params, table, knots, slopes) > p2
 
-    grids, signs = [], []
-    for step in (dr, 0.5 * dr):
-        n_steps = max(int(math.ceil(r_max / step)), 2)
-        grid = np.concatenate(([0.0], (np.arange(n_steps) + 0.5) * step))
-        grids.append(grid)
-        signs.append(indicator(grid))
-    flips = [np.flatnonzero(s[1:] != s[:-1]) for s in signs]
-    crossings = _bisect(
-        np.concatenate([g[i] for g, i in zip(grids, flips)]),
-        np.concatenate([g[i + 1] for g, i in zip(grids, flips)]),
-        indicator,
-        np.concatenate([s[i] for s, i in zip(signs, flips)]),
-        60,
-    ).tolist()
-    n_coarse = flips[0].size
-    masses = []
-    for s, cuts in zip(signs, (crossings[:n_coarse], crossings[n_coarse:])):
-        edges = ([0.0] if s[0] else []) + cuts + ([r_max] if s[-1] else [])
-        masses.append(_superlevel_mass(params, edges))
-    coarse, fine = masses
-    if abs(fine - coarse) > 1e-3:
-        raise AccuracyError(
-            f"radial step {dr:.6g} too coarse: halving moved the result by "
-            f"{abs(fine - coarse):.3e} (> 1e-3)"
-        )
-    return min(max(fine, 0.0), 1.0)
+    r_star = r_max
+    if not indicator(np.array([r_max]))[0]:
+        r_star = float(_bisect(np.zeros(1), np.array([r_max]), indicator, True, 60)[0])
+    return 1.0 - math.exp(-lam_pi * r_star * r_star)
 
 
 # ---------------------------------------------------------------------------

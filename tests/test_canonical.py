@@ -508,6 +508,11 @@ class TestParamsValidation:
         with pytest.raises(DomainError, match="q must be finite"):
             can.CanonicalParams(intensity=1e-4, alpha=3.5, zeta=0.5, q=q)
 
+    @pytest.mark.parametrize("n_points", [1, 2.5, math.inf, math.nan])
+    def test_n_points_must_be_a_finite_integer(self, n_points):
+        with pytest.raises(DomainError, match="n_points must be an integer >= 2"):
+            can.CanonicalParams(intensity=1e-4, alpha=3.5, zeta=0.5, q=1.0, n_points=n_points)
+
     def test_qos_from_triple(self):
         prm = can.CanonicalParams(
             intensity=1e-4,

@@ -1,6 +1,7 @@
 """Importing the CLI loads no scipy submodule; the kernels that need one
-import it on their first call.  The THz path, Marcum calibration included,
-never loads scipy.optimize."""
+import it on their first call.  The THz path of both scenarios, Marcum
+calibration and the scenario-2 radial search included, never loads
+scipy.optimize."""
 
 import json
 import os
@@ -44,7 +45,7 @@ def lazy_kernel_values() -> dict:
 # Runs in a fresh interpreter: what `import metarel.cli` loaded, whether a
 # domain error in the quadrature closed form is raised before
 # scipy.integrate is imported, whether thz_kernel_values() and a
-# default-anchor scenario-1 sweep load scipy.optimize, and then
+# default-anchor sweep of each scenario load scipy.optimize, and then
 # lazy_kernel_values().
 SCRIPT = f"""
 import json, sys
@@ -63,14 +64,17 @@ integrate_after_error = "scipy.integrate" in sys.modules
 sys.path.insert(0, {TESTS_DIR!r})
 import test_import_footprint
 test_import_footprint.thz_kernel_values()
-sweep_code = metarel.cli.main(["thz", "--seed", "1", "--scenario", "1", "--axis", "p2",
-                               "--grid", "0.5"])
+sweep_codes = [
+    metarel.cli.main(["thz", "--seed", "1", "--scenario", scenario, "--axis", "p2",
+                      "--grid", "0.5"])
+    for scenario in ("1", "2")
+]
 optimize_after_thz = "scipy.optimize" in sys.modules
 print(json.dumps({{
     "loaded_by_import": loaded_by_import,
     "raised": raised,
     "integrate_after_error": integrate_after_error,
-    "sweep_code": sweep_code,
+    "sweep_codes": sweep_codes,
     "optimize_after_thz": optimize_after_thz,
     "values": test_import_footprint.lazy_kernel_values(),
 }}))
@@ -91,6 +95,6 @@ def test_cli_import_loads_no_scipy_submodule_and_lazy_kernels_work():
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["loaded_by_import"] == []
     assert report["raised"] and not report["integrate_after_error"]
-    assert report["sweep_code"] == 0 and not report["optimize_after_thz"]
+    assert report["sweep_codes"] == [0, 0] and not report["optimize_after_thz"]
     # json round-trips floats exactly, so the fresh values must equal these
     assert report["values"] == lazy_kernel_values()

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from metarel import stochgeom
 from metarel._rng import derive_rng
 from metarel.errors import DomainError
 from metarel.specfun import marcum_q1
@@ -66,6 +67,17 @@ class TestOrderedDistances:
         gaps = derive_rng(9, 4).standard_exponential((5, 3, cfg.n_points))
         want = np.sqrt(np.cumsum(gaps / (cfg.intensity * math.pi), axis=-1))
         assert np.array_equal(got, want)
+
+
+class TestPppConfig:
+    @pytest.mark.parametrize("n_points", [0, 2.5, math.inf, math.nan])
+    def test_n_points_must_be_a_finite_integer(self, n_points):
+        with pytest.raises(DomainError, match="n_points must be an integer >= 1"):
+            PppConfig(intensity=1e-3, n_points=n_points)
+
+    def test_integral_float_is_stored_as_int(self):
+        cfg = PppConfig(intensity=1e-3, n_points=3.0)
+        assert type(cfg.n_points) is int and cfg.n_points == 3
 
 
 class TestNearestDistanceCdf:
@@ -210,6 +222,23 @@ class TestThinnedRatioSum:
         args = {"alpha": 3.5, "zeta": 0.5, "n_thinned": 20, "n_realizations": 100}
         with pytest.raises(DomainError):
             thinned_ratio_sum_mc(**(args | kwargs))
+
+    @pytest.mark.parametrize("name", ["n_thinned", "n_realizations"])
+    @pytest.mark.parametrize("value", [2.5, math.inf, math.nan, "20"])
+    def test_counts_must_be_finite_integers(self, monkeypatch, name, value):
+        # the check comes before the first draw: the sampling loop, which an
+        # infinite count would never leave, is not reached
+        def no_draws(*args):
+            raise AssertionError("the sampling loop was entered")
+
+        monkeypatch.setattr(stochgeom, "derive_rng", no_draws)
+        args = {"alpha": 3.5, "zeta": 0.5, "n_thinned": 20, "n_realizations": 100}
+        with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+            thinned_ratio_sum_mc(**(args | {name: value}))
+
+    def test_integral_float_counts_match_ints(self):
+        want = thinned_ratio_sum_mc(3.5, 0.5, 20, 100, seed=4)
+        assert thinned_ratio_sum_mc(3.5, 0.5, 20.0, 100.0, seed=4) == want
 
     def test_thinning_theorem_consistency(self):
         # marks-based thinning agrees with the direct thinned sampler:

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 
@@ -7,13 +8,7 @@ from scipy.stats import ncx2
 
 from metarel import thz
 from metarel._rng import derive_rng
-from metarel.errors import (
-    AccuracyError,
-    ConfigurationError,
-    DomainError,
-    IngestError,
-    ScenarioError,
-)
+from metarel.errors import ConfigurationError, DomainError, IngestError, ScenarioError
 from metarel.mdcore import MdQuery
 from metarel.specfun import calibrate_marcum_coeffs, marcum_q1, marcum_q1_inverse_b
 from metarel.stochgeom import sample_rician_power
@@ -238,6 +233,11 @@ class TestCarrierDistribution:
             thz.ThzParams(m_shape=1.5)
         with pytest.raises(DomainError):
             thz.ThzParams(m_shape=-1)
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan])
+    def test_non_finite_shape_is_a_domain_error(self, m):
+        with pytest.raises(DomainError, match="m_shape must be an integer >= 0"):
+            thz.ThzParams(m_shape=m)
 
 
 class TestDerivedConstants:
@@ -529,23 +529,62 @@ class TestScenario2:
                 thz.r2_scenario2(0.5, 0.5, prm, TABLE_HUMP, approx=COEFFS99)
         assert len(thz.roots_scenario2(9.6, 3.4579e12, prm, TABLE_HUMP)) == 2
 
-    def test_coarse_step_is_an_accuracy_error(self, monkeypatch):
-        # a 5 m step with the tail cut-off just past r*: the coarse grid's
-        # last point lies before r* and misses the flip that the halved grid
-        # finds, a gap of 2.924e-3
-        prm = thz.ThzParams()
-        monkeypatch.setattr(thz, "_RADIAL_STEP", 5.0 * math.sqrt(prm.intensity * math.pi))
-        monkeypatch.setattr(thz, "_TAIL_MASS", 0.074)
-        with pytest.raises(AccuracyError, match="2.924e-03"):
-            thz.r2_scenario2(0.99, 0.4, prm, TABLE_BENCH_VALLEY, approx=COEFFS99)
+    def test_p2_does_not_increase_in_radius(self, radial_case):
+        prm, table, radii, p2 = dense_p2(*radial_case)
+        assert p2[0] == 1.0
+        assert not np.any(np.diff(p2) > 0.0)
 
-    def test_refinement_is_step_insensitive(self, monkeypatch):
-        # r* lies inside the support here (R2 = 0.923), so both grids flip
+    @pytest.mark.parametrize("p2", [0.3, 0.7])
+    def test_root_lies_between_dense_grid_radii(self, radial_case, p2):
+        # the indicator holds on a prefix of the grid; r* must lie between
+        # its last radius and the next, the grid end when it never turns
+        name, m, p1 = radial_case
+        prm, table, radii, p2_dense = dense_p2(name, m, p1)
+        holds = p2_dense > p2
+        n_hold = int(np.count_nonzero(holds))
+        assert holds[:n_hold].all()
+        lam_pi = prm.intensity * math.pi
+        mass = [1.0 - math.exp(-lam_pi * r * r) for r in radii[n_hold - 1 : n_hold + 1]]
+        got = thz.r2_scenario2(p1, p2, prm, table, approx=COEFFS99)
+        assert mass[0] <= got <= mass[-1]
+
+    def test_indicator_true_at_the_largest_radius_saturates(self):
         prm = thz.ThzParams()
-        a = thz.r2_scenario2(0.99, 0.4, prm, TABLE_BENCH_VALLEY, approx=COEFFS99)
-        monkeypatch.setattr(thz, "_RADIAL_STEP", 2.0 * math.sqrt(prm.intensity * math.pi))
-        b = thz.r2_scenario2(0.99, 0.4, prm, TABLE_BENCH_VALLEY, approx=COEFFS99)
-        assert a == pytest.approx(b, abs=1e-3)
+        r_max = math.sqrt(-math.log(thz._TAIL_MASS) / (prm.intensity * math.pi))
+        p1t = thz.p1_tilde(0.9, prm, COEFFS99)
+        assert thz.p2_scenario2(r_max, p1t, prm, TABLE_VALLEY) > 0.3
+        got = thz.r2_scenario2(0.9, 0.3, prm, TABLE_VALLEY, approx=COEFFS99)
+        assert got == 1.0 - thz._TAIL_MASS
+
+
+# the radial engine's inputs: a table with a band it covers, the carrier
+# shape m and the link target p1
+RADIAL_TABLES = {
+    "mono": (TABLE_MONO, {}),
+    "valley": (TABLE_VALLEY, {}),
+    "bench-valley": (TABLE_BENCH_VALLEY, {}),
+    "bench-sweep": (TABLE_BENCH_SWEEP, {"f_low_hz": 330e9, "f_high_hz": 355e9}),
+}
+
+
+@pytest.fixture(
+    params=[(name, m, p1) for name in RADIAL_TABLES for m in (0, 1) for p1 in (0.9, 0.99)],
+    ids=lambda case: "-".join(map(str, case)),
+)
+def radial_case(request):
+    return request.param
+
+
+@functools.lru_cache(maxsize=None)
+def dense_p2(name: str, m: int, p1: float):
+    """P2 on 4001 radii from 0 to the radial engine's largest radius."""
+    table, band = RADIAL_TABLES[name]
+    prm = thz.ThzParams(m_shape=m, **band)
+    p1t = thz.p1_tilde(p1, prm, COEFFS99)
+    r_max = math.sqrt(-math.log(thz._TAIL_MASS) / (prm.intensity * math.pi))
+    radii = np.linspace(0.0, r_max, 4001)
+    knots, slopes = thz._valley_band(prm, table)
+    return prm, table, radii, thz._p2_radii(radii, p1t, prm, table, knots, slopes)
 
 
 def one_segment(k_lo: float, k_hi: float) -> thz.AbsorptionTable:
