@@ -2,8 +2,8 @@
 ingestion, closed-form vs Monte Carlo comparisons, and CSV/JSON emission.
 
 Output files are deterministic for a fixed spec and seed: full-precision
-floats, no timestamps.  Exit codes: 0 ok, 2 usage error, 3 numeric error,
-4 ingest error.
+floats, no timestamps.  Exit codes: 0 ok, 1 ``validate`` found a failed
+criterion, 2 usage error, 3 numeric error, 4 ingest error.
 """
 
 from __future__ import annotations
@@ -41,20 +41,25 @@ SCHEMA_VERSION = 1
 CANONICAL_AXES = ("p1", "p2")
 THZ_AXES = ("p1", "p2", "bw")
 METHODS = ("closed_form", "monte_carlo", "both")
+MC_NOTICE = (
+    f"MC omitted: p1 >= {EXTREME_P1} (closed forms emitted; use --force to override)"
+)
+
+_UNHASHED = frozenset({"seed", "out", "format", "config", "func"})
 
 
-def _spec_hash(model: str, method: str, axis: str, grid, fixed: dict) -> str:
-    """Short digest of one swept axis over a grid, everything else fixed."""
-    payload = json.dumps(
-        {
-            "model": model,
-            "method": method,
-            "axis": axis,
-            "grid": list(grid),
-            "fixed": {k: fixed[k] for k in sorted(fixed)},
-        },
-        sort_keys=True,
-    )
+def _spec_hash(args, **parsed) -> str:
+    """Short digest of everything that defines a run's rows.
+
+    That is every parsed flag of the subcommand except those that cannot
+    change a row: ``seed`` (the record carries it), ``out``, ``format`` and
+    ``config`` (its keys arrive as flags), plus argparse's ``func``.
+    ``parsed`` overrides raw values with their parsed form, so spellings of
+    one grid hash alike.
+    """
+    spec = {k: v for k, v in vars(args).items() if k not in _UNHASHED}
+    spec.update(parsed)
+    payload = json.dumps(spec, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -287,32 +292,81 @@ def _parse_grid(flag: str, text: str) -> tuple[float, ...]:
     return grid
 
 
-def _parse_trials(text: str, n: int) -> tuple[int, ...]:
+def _parse_trials(text: str) -> tuple[int, ...]:
     parts = _numbers("--trials", text.split(","), int)
-    if len(parts) != n or any(p < 1 for p in parts):
-        raise UsageError(f"--trials must be {n} positive integers N0,..,N{n-1}")
+    if len(parts) != 3 or any(p < 1 for p in parts):
+        raise UsageError("--trials must be 3 positive integers N0,N1,N2")
     return parts
 
 
 def _canonical_params(args) -> can.CanonicalParams:
-    if args.q is not None:
-        qos_kwargs = {"q": args.q}
-    elif args.l is not None and args.bw is not None and args.tth is not None:
-        qos_kwargs = {
-            "l_bits": args.l,
-            "bandwidth_hz": args.bw,
-            "deadline_s": args.tth,
-        }
-    else:
-        raise UsageError("give --q or all of --l --bw --tth")
     return can.CanonicalParams(
         intensity=args.intensity,
         alpha=args.alpha,
         zeta=args.zeta,
+        q=args.q,
+        l_bits=args.l,
+        bandwidth_hz=args.bw,
+        deadline_s=args.tth,
         mode=args.mode,
         n_points=args.n_points,
-        **qos_kwargs,
     )
+
+
+def _points(axis: str, grid, p1, p2) -> list[tuple[float, float]]:
+    """The (p1, p2) targets of each grid entry: the swept target takes the
+    entry and the other keeps its flag's value (the bw axis sweeps neither)."""
+    for name, fixed in (("p1", p1), ("p2", p2)):
+        if axis != name and fixed is None:
+            raise UsageError(f"sweeping {axis} requires a fixed --{name}")
+    points = [(g if axis == "p1" else p1, g if axis == "p2" else p2) for g in grid]
+    if any(not 0.0 < p < 1.0 for point in points for p in point):
+        raise UsageError("p1 and p2 targets must lie strictly inside (0, 1)")
+    return points
+
+
+def _mc_trials(args, points) -> Optional[tuple[int, ...]]:
+    """The parsed ``--trials`` when the MC columns run, else None.
+
+    At p1 >= EXTREME_P1 the MC estimate needs prohibitive trial counts, so
+    without ``--force``, ``--method monte_carlo`` is a usage error and
+    ``--method both`` emits only the closed forms, with MC_NOTICE.
+    """
+    if args.method == "closed_form":
+        return None
+    trials = _parse_trials(args.trials)
+    if args.force or max(p1 for p1, _ in points) < EXTREME_P1:
+        return trials
+    if args.method == "monte_carlo":
+        raise UsageError(
+            f"Monte Carlo at p1 >= {EXTREME_P1} needs prohibitive trial "
+            "counts; use the closed forms or pass --force"
+        )
+    return None
+
+
+def _sweep(args, spec_hash: str, columns, rows, points, trials, mc_grid, meta) -> int:
+    """Emit the closed-form ``rows``, one per point, plus R_mc and stderr
+    when ``trials`` is set.
+
+    ``mc_grid(p1s, p2s, trials)`` estimates every (p1, p2) cell from one
+    sample set.  One of p1s and p2s holds a single value, so MC cell k is
+    point k.
+    """
+    if trials is not None:
+        p1s = sorted({p1 for p1, _ in points})
+        p2s = sorted({p2 for _, p2 in points})
+        est = mc_grid(p1s, p2s, trials)
+        columns = [*columns, "R_mc", "stderr"]
+        rows = [
+            (*row, float(value), float(stderr))
+            for row, value, stderr in zip(rows, est.values.flat, est.stderr.flat)
+        ]
+    elif args.method != "closed_form":
+        meta["notice"] = MC_NOTICE
+        print(f"notice: {MC_NOTICE}", file=sys.stderr)
+    _emit(args, spec_hash, columns, rows, meta)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,118 +376,36 @@ def _canonical_params(args) -> can.CanonicalParams:
 
 def cmd_canonical(args) -> int:
     grid = _parse_grid("--grid", args.grid)
-    spec_hash = _spec_hash(
-        "canonical",
-        args.method,
-        args.axis,
-        grid,
-        {
-            "alpha": args.alpha,
-            "zeta": args.zeta,
-            "q": args.q,
-            "l": args.l,
-            "bw": args.bw,
-            "tth": args.tth,
-            "p1": args.p1,
-            "p2": args.p2,
-            "mode": args.mode,
-            "intensity": args.intensity,
-            "trials": args.trials,
-        },
-    )
+    points = _points(args.axis, grid, args.p1, args.p2)
+    trials = _mc_trials(args, points)
     params = _canonical_params(args)
     q = params.qos()
-    if any(not 0.0 < g < 1.0 for g in grid):
-        raise UsageError("p1/p2 grids must lie strictly inside (0, 1)")
-    if args.axis == "p1":
-        p1s = grid
-        if args.p2 is None:
-            raise UsageError("sweeping p1 requires a fixed --p2")
-        p2s = (args.p2,) * len(grid)
-    else:
-        if args.p1 is None:
-            raise UsageError("sweeping p2 requires a fixed --p1")
-        p1s = (args.p1,) * len(grid)
-        p2s = grid
-
-    want_mc = args.method in ("monte_carlo", "both")
-    mc_notice = None
-    if want_mc:
-        extreme = max(p1s) >= EXTREME_P1
-        if extreme and not args.force:
-            if args.method == "monte_carlo":
-                raise UsageError(
-                    f"Monte Carlo at p1 >= {EXTREME_P1} needs prohibitive trial "
-                    "counts; use the closed forms or pass --force"
-                )
-            mc_notice = (
-                f"MC omitted: p1 >= {EXTREME_P1} (closed forms emitted; use "
-                "--force to override)"
-            )
-            want_mc = False
-    mc_grid = None
-    if want_mc:
-        trials = _parse_trials(args.trials, 3)
-        mc_grid = can.run_canonical_mc_grid(
-            params,
-            q,
-            sorted(set(p1s)),
-            sorted(set(p2s)),
-            trials,
-            args.seed,
-        )
-    if mc_notice:
-        print(f"notice: {mc_notice}", file=sys.stderr)
-
-    columns = ["axis", "R_closed_single", "R_closed_multi"]
-    if want_mc:
-        columns += ["R_mc", "stderr"]
-    rows = []
-    for g, p1, p2 in zip(grid, p1s, p2s):
-        row = [
+    rows = [
+        (
             g,
             can.r2_single_interferer(p1, p2, q, args.alpha, args.zeta),
             can.r2_multi_interferer(p1, p2, q, args.alpha, args.zeta),
-        ]
-        if want_mc:
-            i = mc_grid.p1_grid.index(p1)
-            j = mc_grid.p2_grid.index(p2)
-            row += [float(mc_grid.values[i, j]), float(mc_grid.stderr[i, j])]
-        rows.append(tuple(row))
+        )
+        for g, (p1, p2) in zip(grid, points)
+    ]
     meta = {
         "command": "canonical",
         "axis": args.axis,
         "mode": args.mode,
         "units": "axis dimensionless; reliabilities dimensionless",
     }
-    if mc_notice:
-        meta["notice"] = mc_notice
-    _emit(args, spec_hash, columns, rows, meta)
-    return 0
+    columns = ["axis", "R_closed_single", "R_closed_multi"]
+
+    def mc_grid(p1s, p2s, trials):
+        return can.run_canonical_mc_grid(params, q, p1s, p2s, trials, args.seed)
+
+    return _sweep(args, _spec_hash(args, grid=grid), columns, rows, points, trials, mc_grid, meta)
 
 
 def cmd_bandwidth(args) -> int:
     targets = _parse_grid("--targets", args.targets)
     if any(not 0.0 < t < 1.0 for t in targets):
         raise UsageError("targets must lie strictly inside (0, 1)")
-    spec_hash = _spec_hash(
-        "bandwidth",
-        "closed_form",
-        "target",
-        targets,
-        {
-            "alpha": args.alpha,
-            "zeta": args.zeta,
-            "l": args.l,
-            "tth": args.tth,
-            "p1": args.p1,
-            "p2": args.p2,
-            "mode": args.mode,
-            "intensity": args.intensity,
-            "w_low": args.w_low,
-            "w_high": args.w_high,
-        },
-    )
     params = can.CanonicalParams(
         intensity=args.intensity,
         alpha=args.alpha,
@@ -462,32 +434,22 @@ def cmd_bandwidth(args) -> int:
         "mode": args.mode,
         "units": "target dimensionless; W columns in Hz",
     }
-    _emit(args, spec_hash, columns, rows, meta)
+    _emit(args, _spec_hash(args, targets=targets), columns, rows, meta)
     return 0
 
 
 def _thz_table(args, params: thz.ThzParams) -> thz.AbsorptionTable:
     if args.absorption_table:
-        table = thz.load_absorption_table(args.absorption_table)
-    elif args.scenario == 1:
-        table = thz.synthetic_monotone_table(
-            params.f_low_hz - 5e9, params.f_high_hz + 5e9, 0.8, 3.0
-        )
-        print(
-            "notice: no absorption table given; using the built-in synthetic "
-            "monotone table",
-            file=sys.stderr,
-        )
-    else:
-        table = thz.synthetic_valley_table(
-            params.f_low_hz - 5e9, params.f_high_hz + 5e9, 2.2, 0.15, 2.8
-        )
-        print(
-            "notice: no absorption table given; using the built-in synthetic "
-            "valley table",
-            file=sys.stderr,
-        )
-    return table
+        return thz.load_absorption_table(args.absorption_table)
+    shape = "monotone" if args.scenario == 1 else "valley"
+    print(
+        f"notice: no absorption table given; using the built-in synthetic {shape} table",
+        file=sys.stderr,
+    )
+    lo, hi = params.f_low_hz - 5e9, params.f_high_hz + 5e9
+    if args.scenario == 1:
+        return thz.synthetic_monotone_table(lo, hi, 0.8, 3.0)
+    return thz.synthetic_valley_table(lo, hi, 2.2, 0.15, 2.8)
 
 
 def cmd_thz(args) -> int:
@@ -495,15 +457,10 @@ def cmd_thz(args) -> int:
     anchors = _numbers("--anchors", args.anchors.split(","))
     if len(anchors) != 2:
         raise UsageError("--anchors must be two probabilities p_lo,p_hi")
-    want_mc = args.method in ("monte_carlo", "both")
-    if want_mc and args.axis == "bw":
+    if args.axis == "bw" and args.method != "closed_form":
         raise UsageError("the bw axis has no Monte Carlo estimate; use --method closed_form")
-    if want_mc and not args.force and max(grid if args.axis == "p1" else [args.p1]) >= EXTREME_P1:
-        raise UsageError(
-            f"Monte Carlo at p1 >= {EXTREME_P1} needs prohibitive trial "
-            "counts; use the numeric engines or pass --force"
-        )
-    trials = _parse_trials(args.trials, 3) if want_mc else None
+    points = _points(args.axis, grid, args.p1, args.p2)
+    trials = _mc_trials(args, points)
     params = thz.ThzParams(
         f_low_hz=args.f_low,
         f_high_hz=args.f_high,
@@ -514,72 +471,46 @@ def cmd_thz(args) -> int:
     )
     table = _thz_table(args, params)
     spec_hash = _spec_hash(
-        "thz",
-        args.method,
-        args.axis,
-        grid,
-        {
-            "m": args.m,
-            "scenario": args.scenario,
-            "p1": args.p1,
-            "p2": args.p2,
-            "f_low": args.f_low,
-            "f_high": args.f_high,
-            "q": args.q,
-            "c1": args.c1,
-            "k_shape": args.rician_k,
-            "anchors": args.anchors,
-            # the table's contents, so copies of one file hash alike
-            "table": (
-                [table.frequency_hz.tolist(), table.k_per_m.tolist()]
-                if args.absorption_table
-                else "<builtin>"
-            ),
-            "trials": args.trials,
-        },
+        args,
+        grid=grid,
+        # the table's contents, so copies of one file hash alike
+        absorption_table=(
+            [table.frequency_hz.tolist(), table.k_per_m.tolist()]
+            if args.absorption_table
+            else "<builtin>"
+        ),
     )
     coeffs = calibrate_marcum_coeffs(
         math.sqrt(2.0 * params.rician_k), anchors[0], anchors[1]
     )
-    closed_value = thz.r2_scenario1 if args.scenario == 1 else thz.r2_scenario2
-
-    columns = ["axis", "R"]
-    rows = []
     if args.axis == "bw":
         sweep_rows, best = thz.optimal_bandwidth_sweep(
             params, table, args.p1, args.p2, grid, approx=coeffs
         )
-        columns.append("is_argmax")
-        for bw, r in sweep_rows:
-            rows.append((bw, r, 1.0 if bw == best else 0.0))
+        columns = ["axis", "R", "is_argmax"]
+        rows = [(bw, r, 1.0 if bw == best else 0.0) for bw, r in sweep_rows]
     else:
-        mc_grid = None
-        if want_mc:
-            p1s = grid if args.axis == "p1" else (args.p1,)
-            p2s = grid if args.axis == "p2" else (args.p2,)
-            # the exact hook has the sampled fading loop's law at a fraction
-            # of its cost
-            mc_grid = thz.run_thz_mc_grid(
-                params, table, p1s, p2s, trials, args.seed, inner="exact_binomial"
-            )
-            columns += ["R_mc", "stderr"]
-        for g in grid:
-            p1 = g if args.axis == "p1" else args.p1
-            p2 = g if args.axis == "p2" else args.p2
-            row = [g, closed_value(p1, p2, params, table, approx=coeffs)]
-            if mc_grid is not None:
-                i = mc_grid.p1_grid.index(p1)
-                j = mc_grid.p2_grid.index(p2)
-                row += [float(mc_grid.values[i, j]), float(mc_grid.stderr[i, j])]
-            rows.append(tuple(row))
+        closed_value = thz.r2_scenario1 if args.scenario == 1 else thz.r2_scenario2
+        columns = ["axis", "R"]
+        rows = [
+            (g, closed_value(p1, p2, params, table, approx=coeffs))
+            for g, (p1, p2) in zip(grid, points)
+        ]
     meta = {
         "command": "thz",
         "axis": args.axis,
         "scenario": args.scenario,
         "units": "axis dimensionless (bw in Hz); reliabilities dimensionless",
     }
-    _emit(args, spec_hash, columns, rows, meta)
-    return 0
+
+    def mc_grid(p1s, p2s, trials):
+        # the exact hook has the sampled fading loop's law at a fraction of
+        # its cost
+        return thz.run_thz_mc_grid(
+            params, table, p1s, p2s, trials, args.seed, inner="exact_binomial"
+        )
+
+    return _sweep(args, spec_hash, columns, rows, points, trials, mc_grid, meta)
 
 
 def cmd_reduce_order(args) -> int:
@@ -699,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--anchors",
         type=str,
-        default="0.99,0.9999999",
+        default=",".join(map(repr, thz.DEFAULT_ANCHORS)),
         help="collocation anchors for the Marcum approximation",
     )
     p.add_argument("--trials", type=str, default="2000,200,2000", help="N0,N1,N2")

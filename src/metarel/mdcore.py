@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._rng import derive_rng
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_count
 
 __all__ = [
     "LayeredModel",
@@ -104,15 +104,15 @@ class MdQuery:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        object.__setattr__(self, "trials", tuple(int(n) for n in self.trials))
+        object.__setattr__(
+            self, "trials", tuple(check_count("each trial count", n, 1) for n in self.trials)
+        )
         if not math.isfinite(self.q):
             raise DomainError("q must be finite")
         if len(self.trials) != len(self.p) + 1:
             raise ConfigurationError("need len(trials) == len(p) + 1")
         if any(not 0.0 < pk < 1.0 for pk in self.p):
             raise DomainError("all thresholds p_k must lie strictly in (0, 1)")
-        if any(n < 1 for n in self.trials):
-            raise DomainError("all trial counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,7 @@ def nested_md_grid(
     grids = [np.asarray(g, dtype=float).ravel() for g in p_grids]
     if any(np.any((g <= 0.0) | (g >= 1.0)) for g in grids):
         raise DomainError("thresholds must lie strictly in (0, 1)")
-    trials = tuple(int(t) for t in trials)
-    if min(trials) < 1:
-        raise DomainError("all trial counts must be >= 1")
+    trials = tuple(check_count("each trial count", t, 1) for t in trials)
     if not math.isfinite(q):
         raise DomainError("q must be finite")
     return _with_stderr(_exceedance_counts(model, q, grids, trials, seed, n), trials[-1])
@@ -247,8 +245,7 @@ def zeroth_order_reliability(
     This is the nested estimator with every inner trial count 1, where each
     P_k is 0 or 1 and any threshold in (0, 1) passes exactly the successes.
     """
-    if n_trials < 1:
-        raise DomainError("n_trials must be >= 1")
+    n_trials = check_count("n_trials", n_trials, 1)
     n = model.order
     grids = [np.array([0.5])] * n
     counts = _exceedance_counts(model, q, grids, (1,) * n + (n_trials,), seed, 0)

@@ -368,11 +368,9 @@ def sample_carrier(rng: np.random.Generator, params: ThzParams, size=None):
 
 
 @lru_cache(maxsize=64)
-def default_marcum_coeffs(
-    rician_k: float, anchors: tuple[float, float] = DEFAULT_ANCHORS
-) -> MarcumApproxCoeffs:
-    """Collocation coefficients for a = sqrt(2K) at the given anchors."""
-    return calibrate_marcum_coeffs(math.sqrt(2.0 * rician_k), anchors[0], anchors[1])
+def default_marcum_coeffs(rician_k: float) -> MarcumApproxCoeffs:
+    """Collocation coefficients for a = sqrt(2K) at DEFAULT_ANCHORS."""
+    return calibrate_marcum_coeffs(math.sqrt(2.0 * rician_k), *DEFAULT_ANCHORS)
 
 
 def p1_tilde(

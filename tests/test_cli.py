@@ -104,6 +104,13 @@ def test_bandwidth_search_reads_zero_reliability_where_qos_overflows(capsys):
     assert row[0] == 0.5 and all(1e3 < w < 1e10 for w in row[1:])
 
 
+def test_q_with_a_full_triple_exits_2(capsys):
+    argv = canonical_argv("--grid", "0.5", "--l", "256", "--bw", "1e6", "--tth", "1e-3")
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "usage error: ")
+
+
 def test_scenario_error_exits_3(valley_csv):
     argv = thz_argv("--scenario", "1", "--axis", "p2", "--grid", "0.5",
                     "--absorption-table", valley_csv)
@@ -220,6 +227,32 @@ FORCE_ARGV = canonical_argv("--grid", "0.5", "--p1", "0.999", "--method", "both"
                             "--trials", "20,5,20")
 
 
+def _rows(out: str) -> list[str]:
+    return [line for line in out.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        canonical_argv("--grid", "0.3,0.5", "--p1", "0.999"),
+        thz_argv("--scenario", "1", "--axis", "p2", "--grid", "0.3,0.7", "--p1", "0.999"),
+        thz_argv("--scenario", "1", "--axis", "p1", "--grid", "0.9,0.999"),
+    ],
+    ids=["canonical", "thz", "thz-p1-axis"],
+)
+def test_both_at_extreme_p1_emits_the_closed_forms(argv, capsys):
+    code, closed, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, both, err = run_cli(capsys, argv + ["--method", "both", "--trials", "20,5,20"])
+    assert code == 0
+    assert f"notice: {cli.MC_NOTICE}\n" in err
+    assert f"# notice={cli.MC_NOTICE}\n" in both
+    assert _rows(both) == _rows(closed)
+    code, out, err = run_cli(capsys, argv + ["--method", "monte_carlo"])
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "usage error: ")
+
+
 def test_config_file_sets_a_flag_without_argument(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("force=true\n")
@@ -273,23 +306,23 @@ def test_thz_mc_runs_on_the_exact_hook(monkeypatch, capsys):
         (
             canonical_argv("--method", "both", "--grid", "0.3,0.5,0.8", "--zeta", "0.5",
                            "--trials", "200,20,200"),
-            "08df42c88d76d95c",
-            "269f28735515f0ff2514993f670439825618e90037c52060b326cbd08d34ecb2",
+            "0089c2186c7928c0",
+            "4f2d72b19df750355721661e2d62fc61b46106f180d5ef5ef2d2e8e7c3851aea",
         ),
         (
             bandwidth_argv("--targets", "0.3,0.6,0.9", "--zeta", "0.5", "--w-low", "3e4"),
-            "2af70e149205914f",
-            "14ba0cdec173c526586f2896fb21c0f67b9dc7ff3f3c868aa65dd59e50619a61",
+            "eaa6498affb9d2f6",
+            "dfb48b92311d9efd8c3b03c45d48fed0aec2abc44599ed3f807c532ca612a058",
         ),
         (
             thz_argv("--scenario", "1", "--axis", "p2", "--grid", "0.3,0.5,0.7"),
-            "8c12f34189e0188e",
-            "a7b94cf410a698cd06a48bbdb9046b63246e43af6f653f7fd34fa8817b759e57",
+            "7b549b0b2f666b45",
+            "577ef189b655d3c1621640ba957637f5ed34b3b3a266a6985f95217314287ce9",
         ),
         (
             THZ_S2_BOTH_ARGV,
-            "11e7afb6de38ad69",
-            "78cc666213885aafaf2e0fca21284a61ccae982f0398ada81cd0a6811c5ace30",
+            "d6773e549346e56a",
+            "327f7023423cd699c149b537ba0f5b96cc688420c989ca77b171e43256a13794",
         ),
     ],
     ids=["canonical-both", "bandwidth", "thz-scenario1", "thz-scenario2-both"],
@@ -299,6 +332,48 @@ def test_sweep_output_is_pinned(argv, spec_hash, digest, capsys):
     assert code == 0
     assert f"# spec_hash={spec_hash}\n" in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _spec_hash_of(capsys, argv) -> str:
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    return cli._parse_run_record(out).spec_hash
+
+
+SPEC_ARGV = canonical_argv("--grid", "0.3,0.5")
+BANDWIDTH_ARGV = bandwidth_argv("--targets", "0.5", "--zeta", "0.5", "--w-low", "3e4")
+
+
+@pytest.mark.parametrize(
+    "argv, changed",
+    [
+        (SPEC_ARGV, SPEC_ARGV + ["--n-points", "50"]),
+        (BANDWIDTH_ARGV, BANDWIDTH_ARGV + ["--orders", "2"]),
+        (FORCE_ARGV, FORCE_ARGV + ["--force"]),
+    ],
+    ids=["n-points", "orders", "force"],
+)
+def test_spec_hash_tells_runs_apart(argv, changed, capsys):
+    assert _spec_hash_of(capsys, argv) != _spec_hash_of(capsys, changed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SPEC_ARGV + ["--seed", "2"],
+        canonical_argv("--grid", "0.30,0.50"),
+        canonical_argv("--grid", "0.3:0.5:2"),
+    ],
+    ids=["seed", "grid-digits", "grid-range"],
+)
+def test_spec_hash_ignores_seed_and_grid_spelling(argv, capsys):
+    assert _spec_hash_of(capsys, argv) == _spec_hash_of(capsys, SPEC_ARGV)
+
+
+def test_spec_hash_ignores_out_and_format(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    assert cli.main(SPEC_ARGV + ["--out", str(path), "--format", "json"]) == 0
+    assert cli.read_run_record(str(path)).spec_hash == _spec_hash_of(capsys, SPEC_ARGV)
 
 
 def _spec_hash_line(capsys, table) -> str:

@@ -73,6 +73,18 @@ class TestValidation:
         with pytest.raises(DomainError):
             MdQuery(q=1.0, p=(0.5,), trials=(0, 10))
 
+    @pytest.mark.parametrize("count", [2.5, math.inf, math.nan])
+    def test_query_trial_counts_must_be_finite_integers(self, count):
+        with pytest.raises(DomainError, match="trial count must be an integer"):
+            MdQuery(q=1.0, p=(0.5,), trials=(count, 3))
+
+    def test_integral_float_trial_counts_match_ints(self):
+        query = MdQuery(q=0.5, p=(0.5,), trials=(40.0, 300.0))
+        assert query.trials == (40, 300) and all(type(n) is int for n in query.trials)
+        ints = MdQuery(q=0.5, p=(0.5,), trials=(40, 300))
+        model = coin_toy_model()
+        assert nested_md_estimate(model, query, 3) == nested_md_estimate(model, ints, 3)
+
     def test_layer_count_limits(self):
         with pytest.raises(ConfigurationError):
             LayeredModel(layers=(_nothing,), qos=lambda s: s[-1])
@@ -95,6 +107,11 @@ class TestZerothOrder:
     def test_strict_inequality_at_boundary(self):
         est = zeroth_order_reliability(constant_model(2.0), 2.0, 200, seed=1)
         assert est.value == 0.0
+
+    @pytest.mark.parametrize("count", [2.5, math.inf, math.nan])
+    def test_trial_count_must_be_a_finite_integer(self, count):
+        with pytest.raises(DomainError, match="n_trials must be an integer"):
+            zeroth_order_reliability(constant_model(2.0), 1.0, count, seed=1)
 
     def test_coin_toy(self):
         est = zeroth_order_reliability(coin_toy_model(), 0.5, 20_000, seed=2)
@@ -236,6 +253,11 @@ class TestGrid:
             nested_md_grid(coin_toy_model(), 0.5, ((0.5,),), (0, 5), seed=0)
         with pytest.raises(ConfigurationError):
             nested_md_grid(coin_toy_model(), 0.5, ((0.5,), (0.5,)), (5, 5, 5), seed=0)
+
+    @pytest.mark.parametrize("count", [20.7, math.inf, math.nan])
+    def test_trial_counts_must_be_finite_integers(self, count):
+        with pytest.raises(DomainError, match="trial count must be an integer"):
+            nested_md_grid(coin_toy_model(), 0.5, ((0.5,),), (count, 10), seed=0)
 
 
 class TestReduceOrder:
