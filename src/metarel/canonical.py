@@ -313,9 +313,17 @@ def canonical_layered_model(
     state is the (signal power, interference power) pair that fixes the
     SIR; only the serving fading and the marked interferers' fadings are
     drawn.
+
+    A multi-mode mark takes one byte b of the raw PCG64 stream, read
+    little-endian.  With d = floor(256 zeta) (exact, as 256 is a power of
+    two) the point is marked when b < d; a tie b == d, of probability
+    1/256, is marked when a uniform double falls below 256 zeta - d.  So
+    P(mark) = zeta to within 2^-61, and exactly k/256 at zeta = k/256.
+
     ``inner="exact_binomial"`` adds the exact hook, which samples
     Binomial(N0, P1)/N0 with the exact conditional success probability P1;
-    the estimator's law is unchanged.
+    the estimator's law is unchanged.  At zeta = 1 in multi mode the hook
+    computes P1 once per outer row and broadcasts it over the middle rows.
     """
     if inner not in INNER_MODES:
         raise DomainError(f"inner must be one of {INNER_MODES}")
@@ -323,6 +331,8 @@ def canonical_layered_model(
     alpha = params.alpha
     zeta = params.zeta
     single = params.mode == "single_interferer"
+    digit = math.floor(256.0 * zeta)  # multi-mode mark byte threshold d
+    tie_share = 256.0 * zeta - digit
 
     def sample_distances(rng, above, size):
         return sample_ordered_distances(cfg, rng, size)
@@ -331,10 +341,20 @@ def canonical_layered_model(
         if single:
             return _sample_first_offsets(size, zeta, rng)
         shape = size + (params.n_points - 1,)
-        if zeta == 1.0:
+        if zeta == 1.0:  # every point marked, no draw; the exact hook skips even this
             return np.ones(shape)
-        u = rng.random(shape)
-        return np.less(u, zeta, out=u)  # 0/1 floats, ready for the hook's matmul
+        # a point is marked when its byte b of the raw stream is below d, and
+        # on a tie b == d when a uniform falls below 256 zeta - d; the compare
+        # writes 0/1 floats straight into the exact hook's matmul operand
+        n = math.prod(shape)
+        raw = rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False)
+        b = raw.view(np.uint8)[:n]
+        marks = np.empty(shape)
+        flat = marks.reshape(-1)
+        np.less(b, digit, out=flat, casting="unsafe")
+        ties = np.flatnonzero(np.equal(b, digit, out=b.view(np.bool_)))  # b is spent
+        flat[ties] = rng.random(ties.size) < tie_share
+        return marks
 
     def sample_powers(rng, above, size):
         distances, marks = above
@@ -362,8 +382,8 @@ def canonical_layered_model(
     def exact(rng, above, size):
         # P1 = prod over marked points of 1 / (1 + q (R_1/R_i)^alpha)
         dist_sq = np.square(above[0])
-        marks = sample_mark_rows(rng, above, size)
         if single:
+            marks = sample_mark_rows(rng, above, size)
             valid = marks < params.n_points
             idx = np.where(valid, marks, 0)
             ratio = (dist_sq[:, :1] / np.take_along_axis(dist_sq, idx, axis=1)) ** (
@@ -371,7 +391,9 @@ def canonical_layered_model(
             )
             return np.where(valid, 1.0 / (1.0 + q * ratio), 1.0)
         v = np.log1p(q * (dist_sq[:, :1] / dist_sq[:, 1:]) ** (0.5 * alpha))
-        return np.exp(-(marks @ v[:, :, None])[..., 0])
+        if zeta == 1.0:  # every point marked: one P1 per outer row
+            return np.broadcast_to(np.exp(-v.sum(axis=1))[:, None], size)
+        return np.exp(-(sample_mark_rows(rng, above, size) @ v[:, :, None])[..., 0])
 
     return LayeredModel(
         layers=(sample_powers, sample_mark_rows, sample_distances),

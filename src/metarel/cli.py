@@ -9,6 +9,7 @@ criterion, 2 usage error, 3 numeric error, 4 ingest error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -567,6 +568,8 @@ def _add_sweep_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+# one parser per process: parsing leaves it unchanged, and no caller edits it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metarel",

@@ -408,6 +408,46 @@ class TestMonteCarlo:
         assert abs(mc - predicted) <= tol
 
 
+def multi_mode_marks(zeta, seed, size=(10, 1000), n_points=201):
+    """Multi-mode marks of one draw and the raw-stream bytes they were read from."""
+    prm = unit_params(zeta, mode="multi_interferer", n_points=n_points)
+    marks = can.canonical_layered_model(prm, 1.0).layers[1](derive_rng(seed), (), size)
+    raw = derive_rng(seed).bit_generator.random_raw(-(-marks.size // 8))
+    digits = raw.astype("<u8").view(np.uint8)[: marks.size].reshape(marks.shape)
+    return marks, digits
+
+
+class TestMultiModeMarks:
+    def test_mask_is_float_zero_one_per_non_serving_point(self):
+        marks, _ = multi_mode_marks(0.3, 40, size=(3, 7), n_points=20)
+        assert marks.dtype == np.float64 and marks.shape == (3, 7, 19)
+        assert set(np.unique(marks)) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("zeta", [0.2, 1.0 / 3.0, 0.5, 0.999])
+    def test_mark_frequency_is_zeta(self, zeta):
+        marks, _ = multi_mode_marks(zeta, 41)
+        assert marks.size == 2_000_000
+        sigma = math.sqrt(zeta * (1.0 - zeta) / marks.size)
+        assert abs(marks.mean() - zeta) <= 4.0 * sigma
+
+    @pytest.mark.parametrize("k", [1, 77, 128, 255])
+    def test_multiple_of_one_256th_never_marks_a_tie(self, k):
+        # zeta = k/256 puts the tie share 256 zeta - d at 0: the mark is b < k
+        marks, digits = multi_mode_marks(k / 256.0, 42, size=(2, 1000))
+        assert np.any(digits == k)
+        np.testing.assert_array_equal(marks, digits < k)
+
+    @pytest.mark.parametrize("zeta", [0.2, 1.0 / 3.0, 0.999, 0.001])
+    def test_tie_share_is_the_fraction_of_256_zeta(self, zeta):
+        marks, digits = multi_mode_marks(zeta, 43)
+        d = math.floor(256.0 * zeta)
+        tie = digits == d
+        np.testing.assert_array_equal(marks[~tie], digits[~tie] < d)
+        share = 256.0 * zeta - d
+        sigma = math.sqrt(share * (1.0 - share) / tie.sum())
+        assert abs(marks[tie].mean() - share) <= 4.0 * sigma
+
+
 @pytest.mark.parametrize("q", [1e-300, 1e300])
 def test_extreme_qos_params_accepted(q):
     unit_params(0.5, q=q)

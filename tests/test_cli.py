@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +313,12 @@ def test_thz_mc_runs_on_the_exact_hook(monkeypatch, capsys):
             "4f2d72b19df750355721661e2d62fc61b46106f180d5ef5ef2d2e8e7c3851aea",
         ),
         (
+            canonical_argv("--method", "both", "--mode", "multi_interferer", "--zeta", "0.5",
+                           "--grid", "0.3,0.5,0.8", "--trials", "200,20,200"),
+            "bcd8ed80a800843c",
+            "9e8840f6a108350904f7ff9ef07befa16a3f87f39987fae926c3cc8a873956e2",
+        ),
+        (
             bandwidth_argv("--targets", "0.3,0.6,0.9", "--zeta", "0.5", "--w-low", "3e4"),
             "eaa6498affb9d2f6",
             "dfb48b92311d9efd8c3b03c45d48fed0aec2abc44599ed3f807c532ca612a058",
@@ -325,7 +334,8 @@ def test_thz_mc_runs_on_the_exact_hook(monkeypatch, capsys):
             "327f7023423cd699c149b537ba0f5b96cc688420c989ca77b171e43256a13794",
         ),
     ],
-    ids=["canonical-both", "bandwidth", "thz-scenario1", "thz-scenario2-both"],
+    ids=["canonical-both", "canonical-multi-both", "bandwidth", "thz-scenario1",
+         "thz-scenario2-both"],
 )
 def test_sweep_output_is_pinned(argv, spec_hash, digest, capsys):
     code, out, _ = run_cli(capsys, argv)
@@ -423,6 +433,23 @@ def test_run_record_round_trip(valley_csv, tmp_path):
     assert from_json.to_json() == json_text
     for field in ("spec_hash", "seed", "version", "columns", "rows"):
         assert getattr(from_csv, field) == getattr(from_json, field)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cached_parser_serves_successive_subcommands(capsys):
+    # each in-process call prints what a fresh interpreter prints
+    argvs = [canonical_argv("--grid", "0.3,0.5"), thz_argv("--axis", "p2", "--grid", "0.5")]
+    in_process = [run_cli(capsys, argv)[:2] for argv in argvs]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, (code, out) in zip(argvs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "metarel.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+        assert code == 0
 
 
 def test_validate_report_serializes_numpy_bools():
