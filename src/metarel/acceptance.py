@@ -593,17 +593,13 @@ def criterion_11(ctx: AcceptanceContext) -> CriterionResult:
             f"p2:{is_nonincreasing(vals_p2)}",
         )
     )
-    prm = can.CanonicalParams(
-        intensity=1e-4,
-        alpha=GRID_ALPHA,
-        zeta=1.0,
-        l_bits=256.0,
-        bandwidth_hz=1e7,
-        deadline_s=1e-3,
-    )
     targets = (0.2, 0.4, 0.6, 0.8, 0.95)
     widths = [
-        can.required_bandwidth(t, 2, prm, 0.999, 0.5, 1e6, 1e10) for t in targets
+        can.required_bandwidth(
+            t, 2, 0.999, 0.5, 1e6, 1e10, l_bits=256.0, deadline_s=1e-3,
+            alpha=GRID_ALPHA, zeta=1.0,
+        )
+        for t in targets
     ]
     ok_w = all(b >= a * (1.0 - 1e-9) for a, b in zip(widths, widths[1:]))
     lines.append(

@@ -2,17 +2,17 @@
 
 The downlink SIR of the typical user of a homogeneous PPP is evaluated
 under Rayleigh fading, with each non-serving base station interfering
-with probability zeta (frozen between redraws, i.e. block ALOHA).  The
-module provides the second-order MD closed forms for the single- and
-multi-interferer scenarios, the interference-ratio expectation they rest
-on, nested Monte Carlo bindings, and the required-bandwidth search.
+with probability zeta (frozen between redraws, i.e. block ALOHA).  Every
+MD closed form, in both scenarios, is a function of one success mass x
+(:func:`_success_mass`).  The module also provides nested Monte Carlo
+bindings, and the required-bandwidth search over q = 2^(l/(W t_th)) - 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,41 +45,19 @@ INNER_MODES = ("sampled", "exact_binomial")
 
 @dataclass(frozen=True)
 class CanonicalParams:
-    """Model parameters; the QoS threshold is either q or (l, W, t_th)."""
+    """Monte Carlo model parameters; :func:`qos_threshold` maps (l, W, t_th) to q."""
 
     intensity: float  # BS density, 1/m^2
     alpha: float  # path-loss exponent, > 2
     zeta: float  # interferer probability, (0, 1]
-    q: Optional[float] = None  # SIR threshold, exclusive with the triple below
-    l_bits: Optional[float] = None
-    bandwidth_hz: Optional[float] = None
-    deadline_s: Optional[float] = None
+    q: float  # SIR threshold, finite and positive
     mode: str = "single_interferer"
     n_points: int = 200
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.intensity) and self.intensity > 0.0):
-            raise DomainError("intensity must be finite and positive")
-        if not (math.isfinite(self.alpha) and self.alpha > 2.0):
-            raise DomainError("alpha must exceed 2")
-        if not 0.0 < self.zeta <= 1.0:
-            raise DomainError("zeta must lie in (0, 1]")
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}")
+        _check_positive(intensity=self.intensity, q=self.q)
+        _check_model(self.alpha, self.zeta, self.mode)
         object.__setattr__(self, "n_points", check_count("n_points", self.n_points, 2))
-        triple = (("l", self.l_bits), ("W", self.bandwidth_hz), ("t_th", self.deadline_s))
-        have_q = self.q is not None
-        have_triple = all(v is not None for _, v in triple)
-        if have_q == have_triple:
-            raise ConfigurationError("give exactly one of q or (l, W, t_th)")
-        for name, v in (("q", self.q),) + triple:
-            if v is not None and not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be finite and positive")
-
-    def qos(self) -> float:
-        if self.q is not None:
-            return self.q
-        return qos_threshold(self.l_bits, self.bandwidth_hz, self.deadline_s)
 
 
 @dataclass(frozen=True)
@@ -94,12 +72,28 @@ class GridEstimate:
     seed: int
 
 
+def _check_positive(**values: float) -> None:
+    """DomainError unless every named value is finite and positive."""
+    for name, v in values.items():
+        if not (v is not None and math.isfinite(v) and v > 0.0):
+            raise DomainError(f"{name} must be finite and positive")
+
+
+def _check_model(alpha: float, zeta: float, mode: str = MODES[0]) -> None:
+    """DomainError unless alpha > 2 is finite, zeta lies in (0, 1] and the
+    mode is known."""
+    if not (math.isfinite(alpha) and alpha > 2.0):
+        raise DomainError("alpha must be finite and exceed 2")
+    if not 0.0 < zeta <= 1.0:
+        raise DomainError("zeta must lie in (0, 1]")
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}")
+
+
 def qos_threshold(l_bits: float, bandwidth_hz: float, deadline_s: float) -> float:
     """SIR/SNR threshold equivalent to l bits within t_th at bandwidth W:
     q = 2^(l / (W t_th)) - 1, which must be finite."""
-    for name, v in (("l", l_bits), ("W", bandwidth_hz), ("t_th", deadline_s)):
-        if not (v is not None and math.isfinite(v) and v > 0.0):
-            raise DomainError(f"{name} must be finite and positive")
+    _check_positive(l=l_bits, W=bandwidth_hz, t_th=deadline_s)
     try:
         q = math.expm1(l_bits / (bandwidth_hz * deadline_s) * math.log(2.0))
     except (OverflowError, ZeroDivisionError):  # q overflows, or W t_th underflows to 0
@@ -156,13 +150,12 @@ def _success_terms(p2: float, zeta: float) -> int:
     return math.ceil(ratio)
 
 
-def _r2_from_p1_hat(phat: float, p2: float, zeta: float) -> float:
-    """1 - (1 - phat^-2)^terms for phat > 1, else 1; a single term returns
-    phat^-2 itself, without the rounding of the expm1/log1p route."""
+def _r2(x: float, p2: float, zeta: float) -> float:
+    """1 - (1 - x)^terms for the success mass x; a single term returns x
+    itself, without the rounding of the expm1/log1p route."""
     terms = _success_terms(p2, zeta)
-    if phat <= 1.0:
+    if x >= 1.0:
         return 1.0
-    x = 1.0 / (phat * phat)
     if terms == 1:
         return x
     return -math.expm1(terms * math.log1p(-x))
@@ -176,9 +169,7 @@ def r2_single_interferer(
     1 - (1 - phat^-2)^terms for phat > 1, else 1, where terms counts the
     n >= 0 with (1 - zeta)^n > p2 (see :func:`_success_terms`).
     """
-    if not 0.0 < zeta <= 1.0:
-        raise DomainError("zeta must lie in (0, 1]")
-    return _r2_from_p1_hat(p1_hat(p1, q, alpha), p2, zeta)
+    return _r2(_success_mass(p1, q, alpha, zeta, "single_interferer"), p2, zeta)
 
 
 def interference_ratio_expectation(alpha: float, zeta: float) -> float:
@@ -191,10 +182,7 @@ def interference_ratio_expectation(alpha: float, zeta: float) -> float:
     multi-interferer closed form is approximate only through the
     mean-interference substitution of :func:`_multi_p1hat_factor`.
     """
-    if not (math.isfinite(alpha) and alpha > 2.0):
-        raise DomainError("alpha must be finite and exceed 2")
-    if not 0.0 < zeta <= 1.0:
-        raise DomainError("zeta must lie in (0, 1]")
+    _check_model(alpha, zeta)
     delta = 2.0 / alpha
     return (1.0 + delta * zeta) / (1.0 - delta)
 
@@ -206,6 +194,20 @@ def _multi_p1hat_factor(alpha: float, zeta: float) -> float:
     return interference_ratio_expectation(alpha, zeta) ** (0.5 * delta)
 
 
+def _success_mass(p1: float, q: float, alpha: float, zeta: float, mode: str) -> float:
+    """x = phat_eff^-2 clamped to 1, the N' pmf's success mass; phat_eff is
+    phat, inflated by :func:`_multi_p1hat_factor` in multi-interferer mode.
+    The second order is 1 - (1 - x)^terms, the first x / (1 - (1-zeta)(1-x)),
+    and the zeroth the first's p1-integral."""
+    _check_model(alpha, zeta, mode)
+    phat = p1_hat(p1, q, alpha)
+    if mode == "multi_interferer":
+        phat *= _multi_p1hat_factor(alpha, zeta)
+    if phat <= 1.0:
+        return 1.0
+    return 1.0 / (phat * phat)
+
+
 def r2_multi_interferer(
     p1: float, p2: float, q: float, alpha: float, zeta: float
 ) -> float:
@@ -215,10 +217,7 @@ def r2_multi_interferer(
     phat * ((1+delta*zeta)/(1-delta))^(delta/2); returns 1 when the inflated
     threshold does not exceed 1.
     """
-    if not 0.0 < zeta <= 1.0:
-        raise DomainError("zeta must lie in (0, 1]")
-    phat_eff = p1_hat(p1, q, alpha) * _multi_p1hat_factor(alpha, zeta)
-    return _r2_from_p1_hat(phat_eff, p2, zeta)
+    return _r2(_success_mass(p1, q, alpha, zeta, "multi_interferer"), p2, zeta)
 
 
 def nprime_pmf(n: int, p1_hat_value: float) -> float:
@@ -232,26 +231,12 @@ def nprime_pmf(n: int, p1_hat_value: float) -> float:
     return (1.0 - x) ** n * x
 
 
-def _success_atom(p1: float, q: float, alpha: float, zeta: float, mode: str) -> float:
-    """phat_eff^-2 clamped to 1: the per-term success mass x."""
-    phat = p1_hat(p1, q, alpha)
-    if mode == "multi_interferer":
-        phat *= _multi_p1hat_factor(alpha, zeta)
-    if phat <= 1.0:
-        return 1.0
-    return 1.0 / (phat * phat)
-
-
 def first_order_reliability(
     p1: float, q: float, alpha: float, zeta: float, mode: str = "single_interferer"
 ) -> float:
     """First-order MD reliability, the exact p2-integral of the second-order
     closed form: x / (1 - (1-zeta)(1-x)) with x = phat_eff^-2 (1 if x = 1)."""
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}")
-    if not 0.0 < zeta <= 1.0:
-        raise DomainError("zeta must lie in (0, 1]")
-    x = _success_atom(p1, q, alpha, zeta, mode)
+    x = _success_mass(p1, q, alpha, zeta, mode)
     if x >= 1.0:
         return 1.0
     return x / (1.0 - (1.0 - zeta) * (1.0 - x))
@@ -261,27 +246,29 @@ def zeroth_order_reliability_closed(
     q: float, alpha: float, zeta: float, mode: str = "single_interferer"
 ) -> float:
     """Conventional reliability P(SIR > q): the p1-integral of the
-    first-order closed form, by adaptive quadrature."""
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}")
-    if q <= 0.0 or not math.isfinite(q):
-        raise DomainError("q must be positive and finite")
-    if not (math.isfinite(alpha) and alpha > 2.0):
-        raise DomainError("alpha must be finite and exceed 2")
-    if not 0.0 < zeta <= 1.0:
-        raise DomainError("zeta must lie in (0, 1]")
+    first-order closed form.
+
+    The integrand is 1 up to p1_break, where phat_eff reaches 1.  Beyond
+    it, adaptive quadrature runs over u = ln p1 on [ln p1_break, 0]: at
+    large q, p1_break is small and most of the mass lies within a few
+    multiples of it, which a p1 grid on [p1_break, 1] resolves badly.
+    """
+    _check_positive(q=q)
+    _check_model(alpha, zeta, mode)
     from scipy.integrate import quad
 
     factor = _multi_p1hat_factor(alpha, zeta) if mode == "multi_interferer" else 1.0
     c = factor ** (-alpha)
     p1_break = c / (q + c)  # below this, phat_eff <= 1 and the integrand is 1
+
+    def integrand(u: float) -> float:
+        p1 = math.exp(u)  # dp1 = p1 du
+        return first_order_reliability(p1, q, alpha, zeta, mode) * p1
+
+    # exp(u) rounds below 1 up to u = ln(1 - 2^-53); beyond lies < 2^-53 of mass
+    top = math.log1p(-(2.0**-53))
     tail, _ = quad(
-        lambda p1: first_order_reliability(p1, q, alpha, zeta, mode),
-        p1_break,
-        1.0,
-        epsabs=1e-11,
-        epsrel=1e-10,
-        limit=200,
+        integrand, min(math.log(p1_break), top), top, epsabs=1e-11, epsrel=1e-10, limit=200
     )
     return p1_break + tail
 
@@ -480,18 +467,15 @@ def first_order_md_mc_grid(
 
 
 def required_bandwidth(
-    target_reliability: float,
-    order: int,
-    params: CanonicalParams,
-    p1: float,
-    p2: float,
-    w_low: float,
-    w_high: float,
+    target_reliability: float, order: int, p1: float, p2: float, w_low: float,
+    w_high: float, *, l_bits: float, deadline_s: float, alpha: float, zeta: float,
+    mode: str = "single_interferer",
 ) -> float:
-    """Smallest bandwidth whose closed-form reliability reaches the target.
+    """Smallest bandwidth whose closed-form reliability of ``order`` at (p1,
+    p2) reaches the target, with q = 2^(l/(W t_th)) - 1 for l bits in t_th.
 
-    Bisection on W: q = 2^(l/(W t_th)) - 1 decreases strictly in W, and every
-    shipped reliability order is non-increasing in q, so reliability is
+    Bisection on W: q decreases strictly in W, and every shipped
+    reliability order is non-increasing in q, so reliability is
     non-decreasing in W.  Every shipped order has R -> 0 as q -> inf, so R
     reads 0 at a W whose q overflows.  The endpoints must bracket the
     target.  The bracket's upper end is returned once the bracket is within
@@ -503,21 +487,19 @@ def required_bandwidth(
         raise DomainError("order must be 0, 1, or 2")
     if not (0.0 < w_low < w_high and math.isfinite(w_high)):
         raise DomainError("need 0 < w_low < w_high < inf")
-    if params.l_bits is None or params.deadline_s is None:
-        raise ConfigurationError("params must carry (l, t_th) for a bandwidth search")
+    _check_positive(l=l_bits, t_th=deadline_s)
+    _check_model(alpha, zeta, mode)
 
     def reliability(w: float) -> float:
         try:
-            q = qos_threshold(params.l_bits, w, params.deadline_s)
-        except DomainError:  # l and t_th are valid, so q overflowed
+            q = qos_threshold(l_bits, w, deadline_s)
+        except DomainError:  # l, W and t_th are valid, so q overflowed
             return 0.0
-        if order == 2:
-            if params.mode == "single_interferer":
-                return r2_single_interferer(p1, p2, q, params.alpha, params.zeta)
-            return r2_multi_interferer(p1, p2, q, params.alpha, params.zeta)
+        if order == 0:
+            return zeroth_order_reliability_closed(q, alpha, zeta, mode)
         if order == 1:
-            return first_order_reliability(p1, q, params.alpha, params.zeta, params.mode)
-        return zeroth_order_reliability_closed(q, params.alpha, params.zeta, params.mode)
+            return first_order_reliability(p1, q, alpha, zeta, mode)
+        return _r2(_success_mass(p1, q, alpha, zeta, mode), p2, zeta)
 
     r_lo = reliability(w_low)
     r_hi = reliability(w_high)

@@ -300,20 +300,6 @@ def _parse_trials(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _canonical_params(args) -> can.CanonicalParams:
-    return can.CanonicalParams(
-        intensity=args.intensity,
-        alpha=args.alpha,
-        zeta=args.zeta,
-        q=args.q,
-        l_bits=args.l,
-        bandwidth_hz=args.bw,
-        deadline_s=args.tth,
-        mode=args.mode,
-        n_points=args.n_points,
-    )
-
-
 def _points(axis: str, grid, p1, p2) -> list[tuple[float, float]]:
     """The (p1, p2) targets of each grid entry: the swept target takes the
     entry and the other keeps its flag's value (the bw axis sweeps neither)."""
@@ -379,8 +365,17 @@ def cmd_canonical(args) -> int:
     grid = _parse_grid("--grid", args.grid)
     points = _points(args.axis, grid, args.p1, args.p2)
     trials = _mc_trials(args, points)
-    params = _canonical_params(args)
-    q = params.qos()
+    if (args.q is None) == any(v is None for v in (args.l, args.bw, args.tth)):
+        raise UsageError("give exactly one of --q or (--l, --bw, --tth)")
+    q = can.qos_threshold(args.l, args.bw, args.tth) if args.q is None else args.q
+    params = can.CanonicalParams(
+        intensity=args.intensity,
+        alpha=args.alpha,
+        zeta=args.zeta,
+        q=q,
+        mode=args.mode,
+        n_points=args.n_points,
+    )
     rows = [
         (
             g,
@@ -405,20 +400,7 @@ def cmd_canonical(args) -> int:
 
 def cmd_bandwidth(args) -> int:
     targets = _parse_grid("--targets", args.targets)
-    if any(not 0.0 < t < 1.0 for t in targets):
-        raise UsageError("targets must lie strictly inside (0, 1)")
-    params = can.CanonicalParams(
-        intensity=args.intensity,
-        alpha=args.alpha,
-        zeta=args.zeta,
-        l_bits=args.l,
-        bandwidth_hz=args.w_low,
-        deadline_s=args.tth,
-        mode=args.mode,
-    )
     orders = _numbers("--orders", args.orders.split(","), int)
-    if any(o not in (0, 1, 2) for o in orders):
-        raise UsageError("orders must be a comma list drawn from 0,1,2")
     columns = ["target"] + [f"W_order{o}_hz" for o in orders]
     rows = []
     for target in targets:
@@ -426,7 +408,9 @@ def cmd_bandwidth(args) -> int:
         for order in orders:
             row.append(
                 can.required_bandwidth(
-                    target, order, params, args.p1, args.p2, args.w_low, args.w_high
+                    target, order, args.p1, args.p2, args.w_low, args.w_high,
+                    l_bits=args.l, deadline_s=args.tth, alpha=args.alpha,
+                    zeta=args.zeta, mode=args.mode,
                 )
             )
         rows.append(tuple(row))
@@ -609,7 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", type=float, default=1.0)
     p.add_argument("--l", type=float, default=256.0)
     p.add_argument("--tth", type=float, default=1e-3)
-    p.add_argument("--intensity", type=float, default=1e-4)
     p.add_argument("--mode", choices=can.MODES, default="single_interferer")
     p.add_argument("--w-low", type=float, default=1e6)
     p.add_argument("--w-high", type=float, default=1e10)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -284,6 +285,53 @@ class TestFirstOrderClosedForm:
         assert integral == pytest.approx(want, abs=1e-3)
 
 
+def r0_reference(q, alpha, zeta, mode):
+    """P(SIR > q) by composite Simpson over w = -ln(c (1 - p1) / (p1 q)).
+
+    Above p1_break = c / (q + c) the first-order law is x / (zeta + (1 - zeta) x)
+    with x = e^(-delta w); dp1 becomes the logistic density of w around ln(q/c),
+    so a uniform w grid resolves every q alike.  c = (1 - delta) / (1 + delta zeta)
+    in multi-interferer mode and 1 in single-interferer mode.
+    """
+    delta = 2.0 / alpha
+    c = (1.0 - delta) / (1.0 + delta * zeta) if mode == "multi_interferer" else 1.0
+    k = q / c
+    w = np.linspace(0.0, max(math.log(k), 0.0) + 60.0, 2 * 20_000 + 1)
+    x = np.exp(-delta * w)
+    g = x / (zeta + (1.0 - zeta) * x) * k * np.exp(-w) / (1.0 + k * np.exp(-w)) ** 2
+    weights = np.ones_like(w)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return c / (q + c) + (w[1] - w[0]) / 3.0 * float(weights @ g)
+
+
+class TestZerothOrderQuadrature:
+    def test_grid_raises_no_warning_and_is_monotone(self):
+        # q from 1e-3 to 1e12, where R falls to about 1e-7
+        qs = np.logspace(-3, 12, 61)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode, zeta in itertools.product(can.MODES, (0.2, 0.5, 1.0)):
+                vals = [can.zeroth_order_reliability_closed(q, 3.5, zeta, mode) for q in qs]
+                assert 0.0 < vals[-1] and vals[0] <= 1.0
+                assert all(b < a for a, b in zip(vals, vals[1:])), (mode, zeta)
+
+    @pytest.mark.parametrize("mode", can.MODES)
+    @pytest.mark.parametrize(
+        "q, zeta", [(1e8, 1.0), (1.8e9, 0.5), (3.2e9, 0.5), (3.2e10, 0.2), (1e12, 1.0), (1.0, 0.5)]
+    )
+    def test_matches_the_reference(self, q, zeta, mode):
+        # a quadrature over p1 read 4.94082e-5 at (1e8, zeta = 1) against 4.93848e-5
+        got = can.zeroth_order_reliability_closed(q, 3.5, zeta, mode)
+        assert got == pytest.approx(r0_reference(q, 3.5, zeta, mode), rel=1e-8)
+
+    @pytest.mark.parametrize("q", [1e-300, 1e-16, 1e-13])
+    def test_vanishing_q_reads_one(self, q):
+        # p1_break rounds to within an ulp of 1; no node may reach p1 = 1
+        for mode in can.MODES:
+            got = can.zeroth_order_reliability_closed(q, 3.5, 0.5, mode)
+            assert 1.0 - 3.0 * q - 1e-15 <= got <= 1.0
+
+
 class TestMonteCarlo:
     def test_nested_sampled_matches_closed_form(self):
         est = can.run_canonical_mc(
@@ -453,47 +501,61 @@ def test_extreme_qos_params_accepted(q):
     unit_params(0.5, q=q)
 
 
+# l, t_th and the model of the paper's bandwidth study, at zeta = 1
+BANDWIDTH_MODEL = dict(l_bits=256.0, deadline_s=1e-3, alpha=3.5, zeta=1.0)
+
+
 class TestRequiredBandwidth:
-    PARAMS = can.CanonicalParams(
-        intensity=1e-4,
-        alpha=3.5,
-        zeta=1.0,
-        l_bits=256.0,
-        bandwidth_hz=1e7,
-        deadline_s=1e-3,
-    )
-
     def test_bracket_edge(self):
-        prm = self.PARAMS
-
         def rel(w):
             return can.r2_single_interferer(
                 0.999, 0.5, can.qos_threshold(256, w, 1e-3), 3.5, 1.0
             )
 
         target = rel(1e7) + 1e-6
-        got = can.required_bandwidth(target, 2, prm, 0.999, 0.5, 1e7, 1e10)
+        got = can.required_bandwidth(target, 2, 0.999, 0.5, 1e7, 1e10, **BANDWIDTH_MODEL)
         assert got == pytest.approx(1e7, rel=2e-3)
 
     def test_orders_one_and_two_coincide_at_full_zeta(self):
         for target in (0.3, 0.6, 0.9):
-            w2 = can.required_bandwidth(target, 2, self.PARAMS, 0.999, 0.5, 1e6, 1e10)
-            w1 = can.required_bandwidth(target, 1, self.PARAMS, 0.999, 0.5, 1e6, 1e10)
+            w2 = can.required_bandwidth(target, 2, 0.999, 0.5, 1e6, 1e10, **BANDWIDTH_MODEL)
+            w1 = can.required_bandwidth(target, 1, 0.999, 0.5, 1e6, 1e10, **BANDWIDTH_MODEL)
             assert w1 == pytest.approx(w2, rel=3e-3)
 
     def test_no_bracket_raises(self):
         with pytest.raises(SearchError):
-            can.required_bandwidth(0.99, 2, self.PARAMS, 0.999, 0.5, 1e3, 2e3)
+            can.required_bandwidth(0.99, 2, 0.999, 0.5, 1e3, 2e3, **BANDWIDTH_MODEL)
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"l_bits": 0.0}, "l must"),
+            ({"l_bits": -256.0}, "l must"),
+            ({"l_bits": math.inf}, "l must"),
+            ({"l_bits": math.nan}, "l must"),
+            ({"deadline_s": 0.0}, "t_th must"),
+            ({"deadline_s": math.inf}, "t_th must"),
+            ({"deadline_s": math.nan}, "t_th must"),
+            ({"alpha": 2.0}, "alpha must"),
+            ({"zeta": 0.0}, "zeta must"),
+            ({"zeta": 1.5}, "zeta must"),
+            ({"mode": "two_interferers"}, "mode must"),
+        ],
+        ids=["l-zero", "l-negative", "l-inf", "l-nan", "tth-zero", "tth-inf", "tth-nan",
+             "alpha-two", "zeta-zero", "zeta-above-one", "unknown-mode"],
+    )
+    def test_domain_is_checked_before_the_search(self, changes, match):
+        # without the check a bad l reads as an overflowing q (R = 0) at
+        # every W, and the search ends in a SearchError
+        with pytest.raises(DomainError, match=match):
+            can.required_bandwidth(
+                0.5, 2, 0.9, 0.5, 1e3, 1e10, **{**BANDWIDTH_MODEL, **changes}
+            )
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_overflowing_low_end_reads_zero(self, order):
         # q overflows at W = 1e3; the search reads R = 0 there and still
         # returns the smallest W within 0.1 % whose reliability reaches 0.5
-        prm = can.CanonicalParams(
-            intensity=1e-4, alpha=3.5, zeta=0.5, l_bits=1000.0, bandwidth_hz=1e3,
-            deadline_s=1e-5,
-        )
-
         def rel(w):
             q = can.qos_threshold(1000.0, w, 1e-5)
             if order == 2:
@@ -502,18 +564,13 @@ class TestRequiredBandwidth:
                 return can.first_order_reliability(0.9, q, 3.5, 0.5)
             return can.zeroth_order_reliability_closed(q, 3.5, 0.5)
 
-        w = can.required_bandwidth(0.5, order, prm, 0.9, 0.5, 1e3, 1e10)
+        w = can.required_bandwidth(
+            0.5, order, 0.9, 0.5, 1e3, 1e10, l_bits=1000.0, deadline_s=1e-5, alpha=3.5,
+            zeta=0.5,
+        )
         assert rel(w) >= 0.5 > rel(w * (1.0 - 1e-3))
 
     def test_second_and_zeroth_order_curves_cross(self):
-        prm = can.CanonicalParams(
-            intensity=1e-4,
-            alpha=3.5,
-            zeta=0.2,
-            l_bits=256.0,
-            bandwidth_hz=1e7,
-            deadline_s=1e-3,
-        )
         diffs = []
         for w in np.logspace(7, 9, 17):
             q = can.qos_threshold(256, w, 1e-3)
@@ -525,20 +582,6 @@ class TestRequiredBandwidth:
 
 
 class TestParamsValidation:
-    def test_exactly_one_qos_route(self):
-        with pytest.raises(ConfigurationError):
-            can.CanonicalParams(intensity=1e-4, alpha=3.5, zeta=0.5)
-        with pytest.raises(ConfigurationError):
-            can.CanonicalParams(
-                intensity=1e-4,
-                alpha=3.5,
-                zeta=0.5,
-                q=1.0,
-                l_bits=256.0,
-                bandwidth_hz=1e7,
-                deadline_s=1e-3,
-            )
-
     def test_alpha_bound(self):
         with pytest.raises(DomainError):
             can.CanonicalParams(intensity=1e-4, alpha=2.0, zeta=0.5, q=1.0)
@@ -552,14 +595,3 @@ class TestParamsValidation:
     def test_n_points_must_be_a_finite_integer(self, n_points):
         with pytest.raises(DomainError, match="n_points must be an integer >= 2"):
             can.CanonicalParams(intensity=1e-4, alpha=3.5, zeta=0.5, q=1.0, n_points=n_points)
-
-    def test_qos_from_triple(self):
-        prm = can.CanonicalParams(
-            intensity=1e-4,
-            alpha=3.5,
-            zeta=0.5,
-            l_bits=256.0,
-            bandwidth_hz=1e7,
-            deadline_s=1e-3,
-        )
-        assert prm.qos() == pytest.approx(0.017903, abs=1e-6)

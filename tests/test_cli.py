@@ -65,12 +65,15 @@ def test_domain_and_usage_errors_exit_2(argv):
         canonical_argv("--grid", "0.5", "--method", "monte_carlo", "--trials", "10,x,10"),
         bandwidth_argv("--targets", "0.5,y"),
         bandwidth_argv("--targets", "0.5", "--orders", "x"),
+        bandwidth_argv("--targets", "1.5"),
+        bandwidth_argv("--targets", "0.5", "--orders", "3"),
         thz_argv("--axis", "p2", "--grid", "0.5", "--anchors", "a,b"),
         thz_argv("--axis", "p2", "--grid", "0.5", "--method", "both", "--trials", "10,x,10"),
         thz_argv("--axis", "bw", "--grid", "5e8,1e9", "--method", "monte_carlo"),
         thz_argv("--axis", "bw", "--grid", "5e8,1e9", "--method", "both"),
     ],
     ids=["grid-list", "grid-range", "grid-count", "canonical-trials", "targets", "orders",
+         "target-out-of-range", "order-out-of-range",
          "anchors", "thz-trials", "bw-monte-carlo", "bw-both"],
 )
 def test_malformed_flags_exit_2(argv, capsys):
@@ -108,10 +111,16 @@ def test_bandwidth_search_reads_zero_reliability_where_qos_overflows(capsys):
 
 
 def test_q_with_a_full_triple_exits_2(capsys):
-    argv = canonical_argv("--grid", "0.5", "--l", "256", "--bw", "1e6", "--tth", "1e-3")
-    code, out, err = run_cli(capsys, argv)
-    assert code == 2 and out == ""
-    assert_one_line_error(err, "usage error: ")
+    # and so do neither route and a partial triple: exactly one must be given
+    route = ["canonical", "--seed", "1", "--axis", "p2", "--p1", "0.8", "--grid", "0.5"]
+    for argv in (
+        canonical_argv("--grid", "0.5", "--l", "256", "--bw", "1e6", "--tth", "1e-3"),
+        route,
+        route + ["--l", "256"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert_one_line_error(err, "usage error: ")
 
 
 def test_scenario_error_exits_3(valley_csv):
@@ -320,8 +329,8 @@ def test_thz_mc_runs_on_the_exact_hook(monkeypatch, capsys):
         ),
         (
             bandwidth_argv("--targets", "0.3,0.6,0.9", "--zeta", "0.5", "--w-low", "3e4"),
-            "eaa6498affb9d2f6",
-            "dfb48b92311d9efd8c3b03c45d48fed0aec2abc44599ed3f807c532ca612a058",
+            "27a72ca7f9484b26",
+            "405c3c7a8d4306e76cda0bccd102daa5ef5d695f844c46f9acb636c5dfcb863f",
         ),
         (
             thz_argv("--scenario", "1", "--axis", "p2", "--grid", "0.3,0.5,0.7"),
