@@ -36,6 +36,7 @@ __all__ = [
     "run_canonical_mc",
     "run_canonical_mc_grid",
     "first_order_md_mc_grid",
+    "check_bandwidth_targets",
     "required_bandwidth",
 ]
 
@@ -183,6 +184,12 @@ def interference_ratio_expectation(alpha: float, zeta: float) -> float:
     mean-interference substitution of :func:`_multi_p1hat_factor`.
     """
     _check_model(alpha, zeta)
+    return _interference_ratio_mean(alpha, zeta)
+
+
+def _interference_ratio_mean(alpha: float, zeta: float) -> float:
+    """(1 + delta*zeta)/(1 - delta) with delta = 2/alpha, unchecked: the
+    callers have checked the model."""
     delta = 2.0 / alpha
     return (1.0 + delta * zeta) / (1.0 - delta)
 
@@ -190,8 +197,7 @@ def interference_ratio_expectation(alpha: float, zeta: float) -> float:
 def _multi_p1hat_factor(alpha: float, zeta: float) -> float:
     """Factor ((1+delta*zeta)/(1-delta))^(delta/2) applied to phat in the
     multi-interferer scenario (mean-interference substitution)."""
-    delta = 2.0 / alpha
-    return interference_ratio_expectation(alpha, zeta) ** (0.5 * delta)
+    return _interference_ratio_mean(alpha, zeta) ** (1.0 / alpha)
 
 
 def _success_mass(p1: float, q: float, alpha: float, zeta: float, mode: str) -> float:
@@ -297,9 +303,10 @@ def canonical_layered_model(
     A mark state is the offset of the first marked point in single mode and
     the mask of marked non-serving points, as 0/1 floats, in multi mode.  At
     zeta = 1 every point is marked, so neither mode draws a mark.  A fading
-    state is the (signal power, interference power) pair that fixes the
-    SIR; only the serving fading and the marked interferers' fadings are
-    drawn.
+    state is the SIR itself, h_1 / sum_i h_i (R_1/R_i)^alpha over the marked
+    points, and is infinite when no marked point interferes.  It is computed
+    from distance ratios, so it does not depend on the intensity; only the
+    serving fading and the marked interferers' fadings are drawn.
 
     A multi-mode mark takes one byte b of the raw PCG64 stream, read
     little-endian.  With d = floor(256 zeta) (exact, as 256 is a power of
@@ -343,7 +350,9 @@ def canonical_layered_model(
         flat[ties] = rng.random(ties.size) < tie_share
         return marks
 
-    def sample_powers(rng, above, size):
+    def sample_sirs(rng, above, size):
+        # distance ratios do not depend on the intensity, so no absolute
+        # power R^-alpha under- or overflows
         distances, marks = above
         if single:
             rows = np.flatnonzero(marks < params.n_points)
@@ -352,19 +361,22 @@ def canonical_layered_model(
             rows, cols = np.nonzero(marks)
             cols = cols + 1
         m, n0 = size
+        # column j < m is row j's serving fading, column m + k the k-th marked point's
         h = rng.standard_exponential((n0, m + rows.size))
-        signal = h[:, :m] * distances[:, 0] ** (-alpha)
-        interference = np.zeros((n0, m))
-        if rows.size:
+        interference = h[:, m:] * (distances[rows, 0] / distances[rows, cols]) ** alpha
+        if not single and rows.size:  # sum each row's run of marked points
             starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-            weighted = h[:, m:] * distances[rows, cols] ** (-alpha)
-            interference[:, rows[starts]] = np.add.reduceat(weighted, starts, axis=1)
-        return np.stack((signal.T, interference.T), axis=-1)
+            interference = np.add.reduceat(interference, starts, axis=1)
+            rows = rows[starts]
+        sirs = np.full((n0, m), np.inf)  # no active interferer, or zero interference
+        sirs[:, rows] = np.divide(
+            h[:, rows], interference, out=np.full_like(interference, np.inf),
+            where=interference > 0.0,
+        )
+        return sirs.T
 
     def qos(states):
-        signal, interference = states[-1][..., 0], states[-1][..., 1]
-        sirs = np.full_like(signal, np.inf)  # no active interferer
-        return np.divide(signal, interference, out=sirs, where=interference > 0.0)
+        return states[-1]
 
     def exact(rng, above, size):
         # P1 = prod over marked points of 1 / (1 + q (R_1/R_i)^alpha)
@@ -383,7 +395,7 @@ def canonical_layered_model(
         return np.exp(-(sample_mark_rows(rng, above, size) @ v[:, :, None])[..., 0])
 
     return LayeredModel(
-        layers=(sample_powers, sample_mark_rows, sample_distances),
+        layers=(sample_sirs, sample_mark_rows, sample_distances),
         qos=qos,
         exact=exact if inner == "exact_binomial" else None,
     )
@@ -466,6 +478,16 @@ def first_order_md_mc_grid(
     )
 
 
+def check_bandwidth_targets(targets: Sequence[float], orders: Sequence[int]) -> None:
+    """DomainError unless every target reliability lies strictly in (0, 1)
+    and every order is 0, 1 or 2: the domain of :func:`required_bandwidth`'s
+    target and order, checked before any search."""
+    if not all(0.0 < target < 1.0 for target in targets):
+        raise DomainError("target reliability must lie strictly in (0, 1)")
+    if not all(order in (0, 1, 2) for order in orders):
+        raise DomainError("order must be 0, 1, or 2")
+
+
 def required_bandwidth(
     target_reliability: float, order: int, p1: float, p2: float, w_low: float,
     w_high: float, *, l_bits: float, deadline_s: float, alpha: float, zeta: float,
@@ -481,10 +503,7 @@ def required_bandwidth(
     target.  The bracket's upper end is returned once the bracket is within
     0.1 % of it.
     """
-    if not 0.0 < target_reliability < 1.0:
-        raise DomainError("target reliability must lie strictly in (0, 1)")
-    if order not in (0, 1, 2):
-        raise DomainError("order must be 0, 1, or 2")
+    check_bandwidth_targets((target_reliability,), (order,))
     if not (0.0 < w_low < w_high and math.isfinite(w_high)):
         raise DomainError("need 0 < w_low < w_high < inf")
     _check_positive(l=l_bits, t_th=deadline_s)

@@ -401,6 +401,7 @@ def cmd_canonical(args) -> int:
 def cmd_bandwidth(args) -> int:
     targets = _parse_grid("--targets", args.targets)
     orders = _numbers("--orders", args.orders.split(","), int)
+    can.check_bandwidth_targets(targets, orders)
     columns = ["target"] + [f"W_order{o}_hz" for o in orders]
     rows = []
     for target in targets:

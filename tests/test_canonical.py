@@ -422,6 +422,32 @@ class TestMonteCarlo:
         )
         assert (repr(est.value), repr(est.stderr)) == ("0.745", "0.030820042180373472")
 
+    def test_multi_mode_blocks_of_one_outer_draw_are_pinned(self):
+        # N1 * N0 = 2000 sampled inner rows per outer draw; recorded while
+        # the fading state was the (signal, interference) power pair
+        est = can.run_canonical_mc(
+            unit_params(0.5, mode="multi_interferer", n_points=50),
+            MdQuery(q=1.0, p=(0.8, 0.3), trials=(100, 20, 100)),
+            seed=20260809,
+        )
+        assert (repr(est.value), repr(est.stderr)) == ("0.45", "0.049749371855331")
+
+    @pytest.mark.parametrize("mode", can.MODES)
+    def test_sampled_estimate_does_not_depend_on_the_intensity(self, mode):
+        # the SIR reads distance ratios only; absolute powers R^-alpha would
+        # underflow at 1e-200 (estimate 1) and overflow at 1e200 (estimate 0)
+        query = MdQuery(q=1.0, p=(0.8, 0.3), trials=(100, 20, 100))
+
+        def estimate(intensity):
+            prm = can.CanonicalParams(
+                intensity=intensity, alpha=3.5, zeta=0.5, q=1.0, mode=mode
+            )
+            return can.run_canonical_mc(prm, query, seed=3).value
+
+        unit = estimate(1.0 / math.pi)
+        assert 0.0 < unit < 1.0
+        assert estimate(1e-200) == unit and estimate(1e200) == unit
+
     def test_query_arity_enforced(self):
         with pytest.raises(ConfigurationError):
             can.run_canonical_mc(
@@ -454,6 +480,79 @@ class TestMonteCarlo:
         mc = float(grid.values[0, 0])
         tol = 3.0 * float(grid.stderr[0, 0]) + 0.01  # inner-layer blur slack
         assert abs(mc - predicted) <= tol
+
+
+def per_row_sirs(distances, active, h, alpha):
+    """SIRs h_1 / sum_i h_i (R_1/R_i)^alpha of one row at a time, reading the
+    draws h as the inner sampler lays them out: column j < m is row j's
+    serving fading, then one column per active point, row by row."""
+    m = len(distances)
+    sirs = np.empty((m, h.shape[0]))
+    col = m
+    for r in range(m):
+        d = distances[r]
+        interference = np.zeros(h.shape[0])
+        for i in np.flatnonzero(active[r]):
+            interference = interference + h[:, col] * (d[0] / d[i]) ** alpha
+            col += 1
+        for j in range(h.shape[0]):
+            sirs[r, j] = h[j, r] / interference[j] if interference[j] > 0.0 else math.inf
+    assert col == h.shape[1]
+    return sirs
+
+
+class TestInnerSampler:
+    N_POINTS = 6
+    N0 = 7
+
+    def distances(self, m):
+        cfg = PppConfig(intensity=1.0 / math.pi, n_points=self.N_POINTS)
+        d = sample_ordered_distances(cfg, derive_rng(60), (m,))
+        d[-1] = [1.0, 1e200, 2e200, 3e200, 4e200, 5e200]  # (R_1/R_i)^alpha underflows to 0
+        return d
+
+    def check(self, mode, marks, active):
+        prm = unit_params(0.5, mode=mode, n_points=self.N_POINTS)
+        model = can.canonical_layered_model(prm, 1.0)
+        d = self.distances(len(marks))
+        size = (len(marks), self.N0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sirs = model.layers[0](derive_rng(61), (d, marks), size)
+            assert model.qos((d, marks, sirs)) is sirs
+            h = derive_rng(61).standard_exponential((self.N0, len(marks) + active.sum()))
+            want = per_row_sirs(d, active, h, prm.alpha)
+        assert sirs.shape == size
+        # equal up to the rounding of a vectorized power, or of a sum taken
+        # in another order
+        np.testing.assert_allclose(sirs, want, rtol=1e-15)
+        return sirs
+
+    def test_single_mode_matches_a_per_row_loop(self):
+        # offsets 6 and 9 lie past the n_points window: no interferer
+        marks = np.array([1, 5, 6, 2, 9, 1])
+        active = np.zeros((marks.size, self.N_POINTS), dtype=bool)
+        for r, offset in enumerate(marks):
+            if offset < self.N_POINTS:
+                active[r, offset] = True
+        sirs = self.check("single_interferer", marks, active)
+        assert np.all(sirs[[2, 4, 5]] == math.inf)
+        assert np.all(np.isfinite(sirs[[0, 1, 3]]))
+
+    def test_multi_mode_matches_a_per_row_loop(self):
+        marks = np.array(
+            [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [0, 1, 0, 0, 1], [1, 0, 0, 0, 0],
+             [1, 1, 0, 1, 1]],
+            dtype=float,
+        )
+        active = np.zeros((marks.shape[0], self.N_POINTS), dtype=bool)
+        active[:, 1:] = marks == 1.0
+        sirs = self.check("multi_interferer", marks, active)
+        assert np.all(sirs[[1, 4]] == math.inf)
+        assert np.all(np.isfinite(sirs[[0, 2, 3]]))
+        # a block without any mark has nothing to sum
+        sirs = self.check("multi_interferer", marks[1:2], active[1:2])
+        assert np.all(sirs == math.inf)
 
 
 def multi_mode_marks(zeta, seed, size=(10, 1000), n_points=201):

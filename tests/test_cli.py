@@ -82,6 +82,22 @@ def test_malformed_flags_exit_2(argv, capsys):
     assert_one_line_error(err, "usage error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        bandwidth_argv("--targets", "0.5,1.5"),
+        bandwidth_argv("--targets", "0.5", "--orders", "2,5"),
+    ],
+    ids=["late-target", "late-order"],
+)
+def test_bandwidth_checks_every_target_and_order_before_searching(argv, capsys):
+    # the search for target 0.5 fails its bracket (exit 3) on these bounds;
+    # the bad value after it is reported before any search runs
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "usage error: ")
+
+
 def test_underflowing_qos_exits_2(tmp_path, capsys):
     path = tmp_path / "mono.csv"
     thz.synthetic_monotone_table(335e9, 380e9, 0.8, 3.0).save_csv(path)
